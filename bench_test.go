@@ -753,6 +753,37 @@ func BenchmarkFaultSimSingle(b *testing.B) {
 	}
 }
 
+// BenchmarkProcedure2 runs Procedure 2 (core.FindSubsequence: window
+// search, then omission with restart, unlimited trials) for every fault
+// the seed-1 s1423 T0 detects, at n=4, on one selector — the inner loop
+// the candidate-parallel detector serves. It reports the targets
+// covered and the serial-equivalent trial count, both deterministic.
+func BenchmarkProcedure2(b *testing.B) {
+	s := setupFor(b, "s1423")
+	cfg := core.DefaultConfig(4)
+	cfg.Parallelism = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var det, sims int
+	for i := 0; i < b.N; i++ {
+		sel, err := core.NewSelector(s.c, s.fl, s.t0, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets, _ := sel.Targets()
+		det = 0
+		for _, f := range targets {
+			if _, _, err := sel.FindSubsequence(f); err != nil {
+				b.Fatal(err)
+			}
+			det++
+		}
+		sims = sel.Sims()
+	}
+	b.ReportMetric(float64(det), "detected")
+	b.ReportMetric(float64(sims), "sims")
+}
+
 // BenchmarkStrategyPortfolio races the synthesis-strategy portfolio on
 // s5378 under a bounded search budget and reports what each strategy's
 // trials buy in coverage per kilobit of test memory (max stored length x

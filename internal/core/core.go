@@ -11,7 +11,12 @@
 //     covered faults.
 //   - FindSubsequence (Procedure 2): for a target fault f, find the
 //     latest window T0[ustart, udet(f)] whose expansion detects f, then
-//     shrink it by random-order vector omission.
+//     shrink it by random-order vector omission. Both searches accept
+//     the first success in a fixed candidate order; they score up to 64
+//     candidates per pass on fsim.Batch and accept the lowest-index
+//     success, which is exactly the candidate a one-at-a-time loop
+//     accepts, so results and trial counts are those of the serial
+//     procedure.
 //   - CompactSet (§3.2): drop sequences that became redundant, using four
 //     simulation orders (increasing length, decreasing length, reverse
 //     generation order, decreasing previous-pass detection count).
@@ -68,9 +73,10 @@ type Config struct {
 	// width yields identical results; see fsim.Options.
 	Lanes int
 	// Interrupt, when non-nil, is polled between units of work (once per
-	// targeted fault and once per omission trial). When it returns true,
-	// selection stops with ErrInterrupted. The service layer uses this to
-	// cancel in-flight jobs promptly.
+	// targeted fault and once per batch of up to fsim.MaxBatch Procedure 2
+	// candidates). When it returns true, selection stops with
+	// ErrInterrupted. The service layer uses this to cancel in-flight
+	// jobs promptly.
 	Interrupt func() bool
 }
 
@@ -178,27 +184,35 @@ type Result struct {
 	// UDet is the first detection time under T0 per fault (fsim.Undetected
 	// for faults outside F).
 	UDet []int
-	// Sims counts expanded-sequence fault simulations performed
-	// (Procedure 2 trials), the dominant cost.
+	// Sims counts Procedure 2 trials as serial-equivalent trials: the
+	// candidates a one-at-a-time search would have simulated, i.e. the
+	// accepted candidate's index plus one per batch that accepts, the
+	// batch size per batch that does not. It is independent of how many
+	// candidates one simulation pass scores.
 	Sims int
 }
 
 // Selector holds the circuit-dependent state shared by Procedure 1 and 2.
 //
 // Procedure 2's inner loop — one target fault checked against thousands
-// of candidate expanded sequences — runs on the reused fsim.Single,
-// which simulates the faulty machine only over the fault's active region
-// and skips quiescent cycles outright (DESIGN.md §8); the bulk
-// simulations of Procedure 1 and §3.2 compaction go through a sharded
-// active-region fsim.Engine built from cfg.simOptions().
+// of candidate expanded sequences — runs on the reused fsim.Batch, which
+// scores up to 64 candidates per pass, one per word lane, straight from
+// the packed copy of T0 (DESIGN.md §8); the bulk simulations of
+// Procedure 1 and §3.2 compaction go through a sharded active-region
+// fsim.Engine built from cfg.simOptions().
 type Selector struct {
-	c      *netlist.Circuit
-	fl     []faults.Fault
-	t0     vectors.Sequence
-	cfg    Config
-	single *fsim.Single
-	rng    *xrand.RNG
-	sims   int
+	c    *netlist.Circuit
+	fl   []faults.Fault
+	t0   vectors.Sequence
+	cfg  Config
+	rng  *xrand.RNG
+	sims int
+	// Procedure 2 state: T0 packed once for the candidate-parallel
+	// detector, which scores up to fsim.MaxBatch candidates per pass
+	// (cands is their reused buffer).
+	t0p   fsim.Packed
+	batch *fsim.Batch
+	cands [fsim.MaxBatch]fsim.Candidate
 	// baseRes memoizes the T0 fault simulation (step 1 of Procedure 1),
 	// which depends only on the circuit, fault list, and T0 — strategies
 	// that call RunOrder many times on one Selector pay for it once.
@@ -221,12 +235,13 @@ func NewSelector(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg
 		return nil, fmt.Errorf("core: lanes %d, must be 0 or a multiple of 64", cfg.Lanes)
 	}
 	return &Selector{
-		c:      c,
-		fl:     fl,
-		t0:     t0,
-		cfg:    cfg,
-		single: fsim.NewSingle(c),
-		rng:    xrand.New(cfg.Seed),
+		c:     c,
+		fl:    fl,
+		t0:    t0,
+		cfg:   cfg,
+		rng:   xrand.New(cfg.Seed),
+		t0p:   fsim.Pack(t0, c.NumPIs()),
+		batch: fsim.NewBatch(c),
 	}, nil
 }
 
@@ -407,123 +422,158 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 // detected by T0). It returns the shrunken subsequence and the ustart of
 // the pre-omission window.
 func (sel *Selector) FindSubsequence(f int) (vectors.Sequence, int, error) {
-	det, udet := sel.single.Detects(sel.fl[f], sel.t0)
-	if !det {
+	base := sel.base()
+	if !base.Detected[f] {
 		return nil, 0, fmt.Errorf("core: fault %s not detected by T0", sel.fl[f].Name(sel.c))
 	}
+	udet := base.DetTime[f]
 
 	// Steps 1-3: find the latest ustart whose expanded window detects f.
-	ustart := udet
-	var t1 vectors.Sequence
-	for {
-		t1 = sel.t0.Subsequence(ustart, udet)
-		sel.sims++
-		if ok, _ := sel.single.Detects(sel.fl[f], expand.Compose(t1, sel.cfg.N, sel.cfg.expandOps())); ok {
-			break
+	// Lane j of a batch is the window T0[top-j, udet].
+	ustart := -1
+	for top := udet; top >= 0 && ustart < 0; top -= fsim.MaxBatch {
+		if sel.cfg.interrupted() {
+			return nil, 0, ErrInterrupted
 		}
-		ustart--
-		if ustart < 0 {
-			// Cannot happen: the expansion of T0[0,udet] begins with
-			// T0[0,udet] itself, which detects f at time udet.
-			return nil, 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
-				sel.fl[f].Name(sel.c))
+		k := min(fsim.MaxBatch, top+1)
+		for j := 0; j < k; j++ {
+			sel.cands[j] = sel.t0p.Slice(top-j, udet+1).Whole()
+		}
+		if hit := sel.trial(f, k); hit >= 0 {
+			ustart = top - hit
 		}
 	}
-
+	if ustart < 0 {
+		// Cannot happen: the expansion of T0[0,udet] begins with
+		// T0[0,udet] itself, which detects f at time udet.
+		return nil, 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
+			sel.fl[f].Name(sel.c))
+	}
+	t1 := sel.t0.Subsequence(ustart, udet)
 	if sel.cfg.DisableOmission {
 		return t1, ustart, nil
 	}
 
 	// Steps 4-9: random-order omission.
-	t1 = sel.omit(f, t1)
+	omit := sel.omitSinglePass
+	if sel.cfg.OmissionRestart {
+		omit = sel.omitWithRestart
+	}
+	t1, err := omit(f, t1, sel.t0p.Slice(ustart, udet+1))
+	if err != nil {
+		return nil, 0, err
+	}
 	return t1, ustart, nil
 }
 
-// omit shrinks t1 by random-order vector omission while the expansion
-// still detects fault f (Procedure 2 steps 4-9).
-func (sel *Selector) omit(f int, t1 vectors.Sequence) vectors.Sequence {
-	if sel.cfg.OmissionRestart {
-		return sel.omitWithRestart(f, t1)
+// trial evaluates the first k candidates in sel.cands against fault f
+// and returns the index of the first whose expansion detects it, or -1.
+// It charges the serial-equivalent trial count to sel.sims: the accepted
+// index plus one, or k when nothing is accepted.
+func (sel *Selector) trial(f, k int) int {
+	hit := sel.batch.FirstDetecting(sel.fl[f], sel.cands[:k], sel.cfg.N, sel.cfg.expandOps())
+	if hit >= 0 {
+		sel.sims += hit + 1
+	} else {
+		sel.sims += k
 	}
-	return sel.omitSinglePass(f, t1)
+	return hit
 }
 
-// tryOmit reports whether the expansion of candidate still detects f.
-func (sel *Selector) tryOmit(f int, candidate vectors.Sequence) bool {
-	sel.sims++
-	ok, _ := sel.single.Detects(sel.fl[f], expand.Compose(candidate, sel.cfg.N, sel.cfg.expandOps()))
-	return ok
+// batchSize caps the next omission batch at fsim.MaxBatch, the untried
+// rest of the scan, and what is left of the MaxOmissionTrials budget
+// since the omission phase began at trial count start; 0 means the
+// budget is spent.
+func (sel *Selector) batchSize(rest, start int) int {
+	k := min(fsim.MaxBatch, rest)
+	if budget := sel.cfg.MaxOmissionTrials; budget > 0 {
+		k = min(k, budget-(sel.sims-start))
+	}
+	return max(k, 0)
 }
 
 // omitWithRestart is the paper-faithful omission: after every accepted
 // omission the scan restarts over the shorter sequence (Procedure 2's
 // "go to Step 4"); the loop terminates when a full random-order scan
-// accepts nothing.
-func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence) vectors.Sequence {
-	trials := 0
-	budget := sel.cfg.MaxOmissionTrials
+// accepts nothing. Lane j of a batch omits position perm[b+j]; the
+// lowest accepted lane is exactly the omission a one-at-a-time scan
+// accepts first.
+func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence, p1 fsim.Packed) (vectors.Sequence, error) {
+	start := sel.sims
 	for {
+		perm := sel.rng.Perm(t1.Len())
+		if t1.Len() == 1 {
+			// Omitting the last vector would leave an empty sequence,
+			// which cannot detect anything.
+			return t1, nil
+		}
 		accepted := false
-		for _, i := range sel.rng.Perm(t1.Len()) {
-			if t1.Len() == 1 {
-				// Omitting the last vector would leave an empty sequence,
-				// which cannot detect anything.
-				return t1
-			}
-			if budget > 0 && trials >= budget {
-				return t1
+		for b := 0; b < len(perm); {
+			k := sel.batchSize(len(perm)-b, start)
+			if k == 0 {
+				return t1, nil
 			}
 			if sel.cfg.interrupted() {
-				// Stop shrinking; the caller's loop observes the
-				// interrupt and aborts with ErrInterrupted.
-				return t1
+				return nil, ErrInterrupted
 			}
-			trials++
-			if candidate := t1.OmitAt(i); sel.tryOmit(f, candidate) {
-				t1 = candidate
+			for j := 0; j < k; j++ {
+				sel.cands[j] = p1.Omitting(perm[b+j])
+			}
+			if hit := sel.trial(f, k); hit >= 0 {
+				t1, p1 = t1.OmitAt(perm[b+hit]), p1.OmitAt(perm[b+hit])
 				accepted = true
 				break
 			}
+			b += k
 		}
 		if !accepted {
-			return t1
+			return t1, nil
 		}
 	}
 }
 
 // omitSinglePass is the ablation variant: each time unit is considered at
 // most once, in one random order, with accepted omissions applied as the
-// scan proceeds.
-func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence) vectors.Sequence {
-	trials := 0
-	budget := sel.cfg.MaxOmissionTrials
+// scan proceeds. A batch speculates that every earlier candidate in it
+// is rejected; after an acceptance the next batch starts right behind
+// the accepted position, over the shorter sequence.
+func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence, p1 fsim.Packed) (vectors.Sequence, error) {
+	start := sel.sims
 	omitted := make([]bool, t1.Len())
-	cur := t1
-	for _, orig := range sel.rng.Perm(t1.Len()) {
-		if cur.Len() == 1 {
-			break
-		}
-		if budget > 0 && trials >= budget {
+	perm := sel.rng.Perm(t1.Len())
+	var idx [fsim.MaxBatch]int
+	for b := 0; b < len(perm) && t1.Len() > 1; {
+		k := sel.batchSize(len(perm)-b, start)
+		if k == 0 {
 			break
 		}
 		if sel.cfg.interrupted() {
-			break
+			return nil, ErrInterrupted
 		}
-		// Map the original position to its index in the current sequence.
-		idx := 0
-		for j := 0; j < orig; j++ {
-			if !omitted[j] {
-				idx++
+		for j := 0; j < k; j++ {
+			// Map the original position to its index in the current
+			// sequence.
+			orig := perm[b+j]
+			idx[j] = 0
+			for i := 0; i < orig; i++ {
+				if !omitted[i] {
+					idx[j]++
+				}
 			}
+			sel.cands[j] = p1.Omitting(idx[j])
 		}
-		trials++
-		if candidate := cur.OmitAt(idx); sel.tryOmit(f, candidate) {
-			cur = candidate
-			omitted[orig] = true
+		hit := sel.trial(f, k)
+		if hit < 0 {
+			b += k
+			continue
 		}
+		t1, p1 = t1.OmitAt(idx[hit]), p1.OmitAt(idx[hit])
+		omitted[perm[b+hit]] = true
+		b += hit + 1
 	}
-	return cur
+	return t1, nil
 }
 
-// Sims returns the number of expanded-sequence simulations performed.
+// Sims returns the serial-equivalent number of Procedure 2 trials
+// performed (see Result.Sims).
 func (sel *Selector) Sims() int { return sel.sims }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"seqbist/internal/expand"
 	"seqbist/internal/faults"
 	"seqbist/internal/iscas"
 	"seqbist/internal/vectors"
@@ -45,4 +46,49 @@ func DefaultConfigWithTrials(n, trials int) Config {
 	cfg := DefaultConfig(n)
 	cfg.MaxOmissionTrials = trials
 	return cfg
+}
+
+// TestInterruptDuringOmission fires the cancellation hook after k polls
+// for every k up to past the end of the run, on a delay line whose
+// targets each take two window batches and two omission batches. Every
+// firing must end selection with ErrInterrupted, and no candidate batch
+// may start after the hook fired: the trial count stays where it was.
+func TestInterruptDuringOmission(t *testing.T) {
+	c := delayLine(t, 100)
+	fl := faults.CollapsedUniverse(c)
+	t0 := vectors.RandomSequence(xrand.New(6), 2, 140)
+	cfg := DefaultConfig(1)
+	cfg.ExpandOps = expand.OpRepeat
+
+	// Per target: one poll before Procedure 2, one per window batch (101
+	// windows: 64 + 37), one per omission batch (101 rejected
+	// omissions: 64 + 37). Poll 5 is the second omission batch of the
+	// first target.
+	const pollsPerTarget = 5
+	for k := 1; k <= 3*pollsPerTarget; k++ {
+		var sel *Selector
+		polls, simsAtFire := 0, -1
+		cfg.Interrupt = func() bool {
+			polls++
+			if polls == k {
+				simsAtFire = sel.Sims()
+			}
+			return polls >= k
+		}
+		var err error
+		sel, err = NewSelector(c, fl, t0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sel.Run(); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("k=%d: err = %v, want ErrInterrupted", k, err)
+		}
+		if sel.Sims() != simsAtFire {
+			t.Fatalf("k=%d: %d trials when the hook fired, %d after: a batch started after the interrupt",
+				k, simsAtFire, sel.Sims())
+		}
+		if k == pollsPerTarget && simsAtFire != 101+64 {
+			t.Fatalf("k=%d: fired after %d trials, want 101 windows + one omission batch of 64", k, simsAtFire)
+		}
+	}
 }

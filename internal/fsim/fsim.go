@@ -1,6 +1,6 @@
 // Package fsim implements sequential stuck-at fault simulation.
 //
-// Two engines are provided:
+// Three engines are provided:
 //
 //   - Engine (constructed by New with an Options block, see options.go;
 //     the convenience Run wraps it): a parallel-fault simulator packing
@@ -10,10 +10,14 @@
 //     ATPG substrate uses to evaluate candidate subsequences cheaply
 //     from the current state.
 //   - Single: a two-machine scalar simulator for one fault with early
-//     exit on detection. Procedure 2 of the paper calls this in its inner
-//     loop thousands of times, so it is allocation-free after creation.
+//     exit on detection, allocation-free after creation.
+//   - Batch (batch.go): the candidate-parallel form of Single that
+//     Procedure 2 of the paper runs on. It finds the first of up to 64
+//     candidate stored sequences whose expansion detects one fault,
+//     carrying one candidate's fault-free and faulty machine per word
+//     lane.
 //
-// Both engines are active-region simulators in the PROOFS tradition:
+// All three are active-region simulators in the PROOFS tradition:
 // faults are packed into groups by structural locality, each group's
 // static active region (the union of its faults' fanout cones, closed
 // through flip-flops — see cone.go) is precomputed, and each time unit
@@ -53,7 +57,10 @@ import (
 // patternsApplied counts, process-wide, the input vectors (patterns) the
 // simulation engines have applied: Engine counts each vector once per
 // Extend/Evaluate call (simulating all live faults in parallel), Single
-// counts the vectors of each per-fault simulation, so the total is a raw
+// counts the vectors of each per-fault simulation, and Batch counts
+// serial-equivalent vectors — what one Single call per candidate, in
+// order up to the accepted one, would have applied — so the total does
+// not depend on how many candidates share a pass. It is a raw
 // simulation-throughput measure, not a per-fault-pair count. It feeds the
 // daemon's GET /metrics observability endpoint; the counter is
 // deliberately global because one process hosts one daemon, and the

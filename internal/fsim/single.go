@@ -9,9 +9,10 @@ import (
 )
 
 // Single is an allocation-free two-machine (fault-free + one faulty)
-// scalar simulator with early exit on detection. It exists for
-// Procedure 2 of the paper, which checks a single target fault against
-// thousands of candidate expanded sequences.
+// scalar simulator with early exit on detection. It checks one fault
+// against one sequence (T0 compaction, BIST response traces,
+// Engine.Single); Procedure 2's many candidates per fault go through its
+// candidate-parallel form, Batch.
 //
 // Like the parallel engine it is an active-region simulator: the
 // fault-free machine is evaluated normally, and the faulty machine is
@@ -70,16 +71,17 @@ type injection struct {
 	stuck      logic.Value
 }
 
-func (s *Single) decode(f faults.Fault) injection {
+// decodeFault locates the forcing site of f in c.
+func decodeFault(c *netlist.Circuit, f faults.Fault) injection {
 	inj := injection{stemSig: -1, branchGate: -1, branchPin: -1, branchDFF: -1, seedGate: -1, stuck: f.Stuck}
 	if f.IsStem() {
 		inj.stemSig = f.Signal
-		if d := s.c.Driver(f.Signal); d >= 0 {
+		if d := c.Driver(f.Signal); d >= 0 {
 			inj.seedGate = int32(d)
 		}
 		return inj
 	}
-	con := s.c.Consumers(f.Signal)[f.Consumer]
+	con := c.Consumers(f.Signal)[f.Consumer]
 	switch con.Kind {
 	case netlist.ConsumerGate:
 		inj.branchGate = con.Index
@@ -95,7 +97,7 @@ func (s *Single) decode(f faults.Fault) injection {
 // all-unknown state, and the first detection time unit (or Undetected).
 func (s *Single) Detects(f faults.Fault, seq vectors.Sequence) (bool, int) {
 	c, csr := s.c, s.csr
-	inj := s.decode(f)
+	inj := decodeFault(c, f)
 	stuck := inj.stuck
 	for i := range s.goodState {
 		s.goodState[i] = logic.X

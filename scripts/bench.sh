@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the fault-simulation micro-benchmarks (the
-# BenchmarkTable-class suite the active-region engine is measured by) with
-# -benchmem, and optionally emit the parsed numbers as JSON.
+# BenchmarkTable-class suite the active-region engine is measured by) and
+# the Procedure 2 leg (BenchmarkProcedure2: core.FindSubsequence for every
+# target of the seed-1 s1423 T0) with -benchmem, and optionally emit the
+# parsed numbers as JSON.
 #
 # Usage:
 #   scripts/bench.sh                     # full suite, 3 iterations each
@@ -13,23 +15,23 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_9.json via scripts/bench_check.sh.
+# the counts against BENCH_12.json via scripts/bench_check.sh.
 #
-# BENCH_9.json in the repository root was produced from runs of this
-# suite before and after the cone-sharding/multi-word-packing round and
-# records the speedups per benchmark plus the expected detection counts
-# (BENCH_3.json holds the previous round's record).
+# BENCH_12.json in the repository root records the candidate-parallel
+# Procedure 2 round (BenchmarkProcedure2 before and after) plus the
+# expected detection counts of every leg; BENCH_9.json and BENCH_3.json
+# hold the earlier rounds' fault-simulation records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimLanes|FaultSimEvaluate|FaultSimSingle'
+BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimLanes|FaultSimEvaluate|FaultSimSingle|Procedure2'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimLanes/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimLanes/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2'
             COUNT=1x
             ;;
         -benchtime)
