@@ -476,29 +476,6 @@ func BenchmarkFaultSimSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultSimLanes measures the multi-word fault-packing engine:
-// the same serial whole-fault-list workload at 64, 128, and 256 lanes
-// per group. Wider lanes amortize region-walk and queue overhead across
-// more faulty machines per evaluated gate; detections are bit-for-bit
-// identical at every width.
-func BenchmarkFaultSimLanes(b *testing.B) {
-	for _, name := range []string{"s1423", "s5378"} {
-		c := iscas.MustLoad(name)
-		fl := faults.CollapsedUniverse(c)
-		seq := vectors.RandomSequence(xrand.New(1), c.NumPIs(), 200)
-		for _, lanes := range []int{64, 128, 256} {
-			b.Run(name+"/"+benchName("lanes", lanes), func(b *testing.B) {
-				b.ReportAllocs()
-				var det int
-				for i := 0; i < b.N; i++ {
-					det = fsim.New(c, fl, fsim.Options{Lanes: lanes}).Run(seq).NumDetected
-				}
-				b.ReportMetric(float64(det), "detected")
-			})
-		}
-	}
-}
-
 // BenchmarkServiceThroughput measures end-to-end throughput of the
 // synthesis service: each iteration submits a batch of 8 distinct jobs
 // and waits for them all. The cache is disabled so every job runs the

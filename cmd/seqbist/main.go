@@ -54,7 +54,6 @@ func main() {
 	skipCompact := flag.Bool("no-compact", false, "skip §3.2 static compaction of S")
 	verilogOut := flag.String("verilog", "", "write the on-chip BIST hardware (expander + MISR) as Verilog to this path")
 	fsimWorkers := flag.Int("fsim-workers", 0, "fault-simulation goroutines (0 = one per CPU, 1 = serial)")
-	fsimLanes := flag.Int("fsim-lanes", 0, "fault-simulation packing width: 0 = default 64, or a multiple of 64 (e.g. 128, 256); speed only, results identical")
 	serveAddr := flag.String("serve", "", "run as the synthesis daemon on this address instead of one-shot mode")
 	serveWorkers := flag.Int("workers", 4, "daemon synthesis worker-pool size (with -serve and -sweep without -server)")
 	sweepList := flag.String("sweep", "", "batch sweep: comma-separated registry names and/or .bench paths, or \"table3\"")
@@ -70,7 +69,6 @@ func main() {
 		Circuit: "s27",
 		Config: service.GenConfig{
 			Strategy:          *stratName,
-			Lanes:             *fsimLanes,
 			N:                 *n,
 			MaxOmissionTrials: *maxTrials,
 			Parallelism:       *fsimWorkers,
@@ -83,7 +81,6 @@ func main() {
 		if err := service.Serve(*serveAddr, service.Config{
 			Workers:        *serveWorkers,
 			SimParallelism: *fsimWorkers,
-			SimLanes:       *fsimLanes,
 		}); err != nil {
 			fatalf("%v", err)
 		}
@@ -97,7 +94,6 @@ func main() {
 			MaxOmissionTrials: *maxTrials,
 			SkipCompact:       *skipCompact,
 			Parallelism:       *fsimWorkers,
-			Lanes:             *fsimLanes,
 			Strategy:          *stratName,
 		}, *serveWorkers)
 		return
@@ -110,7 +106,7 @@ func main() {
 
 	t0 := obtainT0(c, fl, *t0File, *seed)
 
-	cfg := core.Config{N: *n, Seed: *seed, OmissionRestart: true, Parallelism: *fsimWorkers, Lanes: *fsimLanes}
+	cfg := core.Config{N: *n, Seed: *seed, OmissionRestart: true, Parallelism: *fsimWorkers}
 	strat, err := strategy.Get(*stratName)
 	if err != nil {
 		fatalf("%v", err)

@@ -54,7 +54,6 @@ func main() {
 	queue := flag.Int("queue", 64, "pending-job queue capacity")
 	cacheSize := flag.Int("cache", 128, "result-cache entries (negative disables)")
 	simWorkers := flag.Int("sim-workers", 0, "per-job fault-simulation goroutines (0 = one per CPU)")
-	simLanes := flag.Int("sim-lanes", 0, "per-job fault-simulation packing width: 0 = default 64, or a multiple of 64 (e.g. 128, 256); speed only, results identical")
 	maxSweep := flag.Int("max-sweep-members", 0, "max circuits per sweep (0 = default 64)")
 	maxBench := flag.Int64("max-bench-bytes", 0, "uploaded .bench size cap in bytes (0 = default 1 MiB, negative = unlimited)")
 	maxSignals := flag.Int("max-bench-signals", 0, "uploaded netlist signal cap (0 = default 250k, negative = unlimited)")
@@ -78,7 +77,7 @@ func main() {
 	// carry their own).
 	if err := service.ValidateSpec(service.JobSpec{
 		Circuit: "s27",
-		Config:  service.GenConfig{Strategy: *defaultStrategy, Lanes: *simLanes},
+		Config:  service.GenConfig{Strategy: *defaultStrategy},
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "seqbistd: invalid flags: %v\n", err)
 		os.Exit(1)
@@ -103,7 +102,6 @@ func main() {
 		QueueDepth:      *queue,
 		CacheSize:       *cacheSize,
 		SimParallelism:  *simWorkers,
-		SimLanes:        *simLanes,
 		MaxSweepMembers: *maxSweep,
 		BenchLimits:     benchLimits(*maxBench, *maxSignals),
 		LeaseTTL:        *leaseTTL,

@@ -68,9 +68,8 @@ type Config struct {
 	// that backs Procedure 1's bulk simulations (0 = one worker per CPU,
 	// 1 = serial). Any value yields identical results; see fsim.Options.
 	Parallelism int
-	// Lanes is the fault-packing width for those bulk simulations: 0 or
-	// 64 packs 64 faults per word, 128/256 pack wider word-vectors. Any
-	// width yields identical results; see fsim.Options.
+	// Deprecated: ignored. The fault simulator always packs 64 faults
+	// per group; the field remains so existing callers still compile.
 	Lanes int
 	// Interrupt, when non-nil, is polled between units of work (once per
 	// targeted fault and once per batch of up to fsim.MaxBatch Procedure 2
@@ -91,16 +90,9 @@ func (cfg Config) simWorkers() int {
 	return fsim.DefaultParallelism()
 }
 
-// simOptions assembles the fsim.Options for the bulk simulations. An
-// invalid Lanes value falls back to the engine default here so entry
-// points that skip NewSelector's validation (CompactSet, VerifyCoverage)
-// degrade instead of panicking inside fsim.New.
+// simOptions assembles the fsim.Options for the bulk simulations.
 func (cfg Config) simOptions() fsim.Options {
-	lanes := cfg.Lanes
-	if !fsim.ValidLanes(lanes) {
-		lanes = 0
-	}
-	return fsim.Options{Workers: cfg.simWorkers(), Lanes: lanes}
+	return fsim.Options{Workers: cfg.simWorkers()}
 }
 
 // interrupted polls the cancellation hook.
@@ -230,9 +222,6 @@ func NewSelector(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg
 	}
 	if t0.Width() != c.NumPIs() {
 		return nil, fmt.Errorf("core: T0 width %d, circuit has %d PIs", t0.Width(), c.NumPIs())
-	}
-	if !fsim.ValidLanes(cfg.Lanes) {
-		return nil, fmt.Errorf("core: lanes %d, must be 0 or a multiple of 64", cfg.Lanes)
 	}
 	return &Selector{
 		c:     c,

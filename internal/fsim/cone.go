@@ -13,10 +13,9 @@ package fsim
 // fault list so that faults sharing cones land in the same group,
 // keeping each group's union region — and therefore its work — small.
 //
-// Forcing masks are stored as nw-word vectors ([]uint64) so the same
-// plan machinery serves both the 64-lane engine (nw = 1, masks read at
-// index [0]) and the wide engines (Options.Lanes = 128/256, wide.go).
-// All plan storage is carved from shared slabs owned by the builder:
+// A group holds at most 64 faults, so every forcing mask is one uint64
+// with bit i standing for the group's lane i. All plan storage is carved
+// from shared slabs owned by the builder:
 // one Engine construction performs a handful of block allocations
 // instead of hundreds of per-list appends. Plan slices must therefore
 // never be appended to after build.
@@ -52,22 +51,22 @@ func (s *slab[T]) alloc(n int) []T {
 	return s.buf[off : off+n : off+n]
 }
 
-// sigMask is a per-signal stem-forcing mask pair (nw words per mask).
+// sigMask is a per-signal stem-forcing mask pair.
 type sigMask struct {
 	sig    netlist.SignalID
-	m0, m1 []uint64
+	m0, m1 uint64
 }
 
 // gatePinMask is a branch-forcing mask pair on one gate input pin.
 type gatePinMask struct {
 	gate, pin int32
-	m0, m1    []uint64
+	m0, m1    uint64
 }
 
 // dffMask is a branch-forcing mask pair on one flip-flop D pin.
 type dffMask struct {
 	dff    int32
-	m0, m1 []uint64
+	m0, m1 uint64
 }
 
 // site is one distinct fault-injection site of a group with the lanes it
@@ -77,7 +76,7 @@ type dffMask struct {
 type site struct {
 	sig   netlist.SignalID
 	stuck logic.Value
-	lanes []uint64
+	lanes uint64
 }
 
 // plan is the static simulation plan of one fault group: the union active
@@ -113,7 +112,6 @@ type plan struct {
 type planBuilder struct {
 	c   *netlist.Circuit
 	csr *netlist.CSR
-	nw  int // mask words per lane set (Options.Lanes / 64)
 
 	sigMark  []int32
 	gateMark []int32
@@ -133,12 +131,10 @@ type planBuilder struct {
 	tBranches                      []gatePinMask
 	tDFFForce                      []dffMask
 	tSites                         []site
-	maskArena                      []uint64
 
 	// Slabs backing the finished plans.
 	i32Slab   slab[int32]
 	sigSlab   slab[netlist.SignalID]
-	maskSlab  slab[uint64]
 	stemSlab  slab[sigMask]
 	brSlab    slab[gatePinMask]
 	dffSlab   slab[dffMask]
@@ -147,11 +143,10 @@ type planBuilder struct {
 	wordSlab  slab[logic.Word]
 }
 
-func newPlanBuilder(c *netlist.Circuit, nw int) *planBuilder {
+func newPlanBuilder(c *netlist.Circuit) *planBuilder {
 	return &planBuilder{
 		c:        c,
 		csr:      c.CSR(),
-		nw:       nw,
 		sigMark:  make([]int32, c.NumSignals()),
 		gateMark: make([]int32, c.NumGates()),
 		dffMark:  make([]int32, c.NumDFFs()),
@@ -159,39 +154,6 @@ func newPlanBuilder(c *netlist.Circuit, nw int) *planBuilder {
 		bndMark:  make([]int32, c.NumSignals()),
 		seedMark: make([]int32, c.NumGates()),
 	}
-}
-
-// maskAlloc returns a zeroed nw-word mask from the per-group arena. The
-// arena may reallocate as it grows; previously returned masks stay valid
-// (they keep pointing into the old block), and finalize copies every
-// mask into slab storage anyway.
-func (pb *planBuilder) maskAlloc() []uint64 {
-	off := len(pb.maskArena)
-	need := off + pb.nw
-	if need > cap(pb.maskArena) {
-		grow := 2 * cap(pb.maskArena)
-		if grow < need {
-			grow = need
-		}
-		if grow < 256 {
-			grow = 256
-		}
-		next := make([]uint64, off, grow)
-		copy(next, pb.maskArena)
-		pb.maskArena = next
-	}
-	pb.maskArena = pb.maskArena[:need]
-	m := pb.maskArena[off:need:need]
-	for i := range m {
-		m[i] = 0
-	}
-	return m
-}
-
-func (pb *planBuilder) maskCopy(m []uint64) []uint64 {
-	out := pb.maskSlab.alloc(pb.nw)
-	copy(out, m)
-	return out
 }
 
 // addSignal marks a signal as region and queues it for fanout traversal.
@@ -203,8 +165,8 @@ func (pb *planBuilder) addSignal(s netlist.SignalID) {
 }
 
 // build computes the plan for the faults in fl indexed by faultIdx, with
-// lane i of the masks corresponding to faultIdx[i] (word i/64, bit i%64).
-// len(faultIdx) must not exceed 64*nw.
+// bit i of the masks corresponding to faultIdx[i]. len(faultIdx) must not
+// exceed 64.
 func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 	c, csr := pb.c, pb.csr
 	pb.epoch++
@@ -213,84 +175,74 @@ func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 	pb.tStemQs, pb.tSeed = pb.tStemQs[:0], pb.tSeed[:0]
 	pb.tStemPIs = pb.tStemPIs[:0]
 	pb.tStems, pb.tBranches, pb.tDFFForce, pb.tSites = pb.tStems[:0], pb.tBranches[:0], pb.tDFFForce[:0], pb.tSites[:0]
-	pb.maskArena = pb.maskArena[:0]
 
 	// Sparse forcing lists, merged across lanes. Linear scans over the
-	// per-group lists are fine: a group has at most 64*nw faults.
-	addStem := func(sig netlist.SignalID, word int, m0, m1 uint64) {
+	// per-group lists are fine: a group has at most 64 faults.
+	addStem := func(sig netlist.SignalID, m0, m1 uint64) {
 		for i := range pb.tStems {
 			if pb.tStems[i].sig == sig {
-				pb.tStems[i].m0[word] |= m0
-				pb.tStems[i].m1[word] |= m1
+				pb.tStems[i].m0 |= m0
+				pb.tStems[i].m1 |= m1
 				return
 			}
 		}
-		sm := sigMask{sig: sig, m0: pb.maskAlloc(), m1: pb.maskAlloc()}
-		sm.m0[word], sm.m1[word] = m0, m1
-		pb.tStems = append(pb.tStems, sm)
+		pb.tStems = append(pb.tStems, sigMask{sig: sig, m0: m0, m1: m1})
 	}
-	addBranch := func(gate, pin int32, word int, m0, m1 uint64) {
+	addBranch := func(gate, pin int32, m0, m1 uint64) {
 		for i := range pb.tBranches {
 			if pb.tBranches[i].gate == gate && pb.tBranches[i].pin == pin {
-				pb.tBranches[i].m0[word] |= m0
-				pb.tBranches[i].m1[word] |= m1
+				pb.tBranches[i].m0 |= m0
+				pb.tBranches[i].m1 |= m1
 				return
 			}
 		}
-		b := gatePinMask{gate: gate, pin: pin, m0: pb.maskAlloc(), m1: pb.maskAlloc()}
-		b.m0[word], b.m1[word] = m0, m1
-		pb.tBranches = append(pb.tBranches, b)
+		pb.tBranches = append(pb.tBranches, gatePinMask{gate: gate, pin: pin, m0: m0, m1: m1})
 	}
-	addDFFForce := func(dff int32, word int, m0, m1 uint64) {
+	addDFFForce := func(dff int32, m0, m1 uint64) {
 		for i := range pb.tDFFForce {
 			if pb.tDFFForce[i].dff == dff {
-				pb.tDFFForce[i].m0[word] |= m0
-				pb.tDFFForce[i].m1[word] |= m1
+				pb.tDFFForce[i].m0 |= m0
+				pb.tDFFForce[i].m1 |= m1
 				return
 			}
 		}
-		df := dffMask{dff: dff, m0: pb.maskAlloc(), m1: pb.maskAlloc()}
-		df.m0[word], df.m1[word] = m0, m1
-		pb.tDFFForce = append(pb.tDFFForce, df)
+		pb.tDFFForce = append(pb.tDFFForce, dffMask{dff: dff, m0: m0, m1: m1})
 	}
-	addSite := func(sig netlist.SignalID, stuck logic.Value, word int, lane uint64) {
+	addSite := func(sig netlist.SignalID, stuck logic.Value, lane uint64) {
 		for i := range pb.tSites {
 			if pb.tSites[i].sig == sig && pb.tSites[i].stuck == stuck {
-				pb.tSites[i].lanes[word] |= lane
+				pb.tSites[i].lanes |= lane
 				return
 			}
 		}
-		s := site{sig: sig, stuck: stuck, lanes: pb.maskAlloc()}
-		s.lanes[word] = lane
-		pb.tSites = append(pb.tSites, s)
+		pb.tSites = append(pb.tSites, site{sig: sig, stuck: stuck, lanes: lane})
 	}
 
 	for lane, fi := range faultIdx {
 		f := fl[fi]
-		word := lane >> 6
-		laneMask := uint64(1) << uint(lane&63)
+		laneMask := uint64(1) << uint(lane)
 		var m0, m1 uint64
 		if f.Stuck == logic.Zero {
 			m0 = laneMask
 		} else {
 			m1 = laneMask
 		}
-		addSite(f.Signal, f.Stuck, word, laneMask)
+		addSite(f.Signal, f.Stuck, laneMask)
 		if f.IsStem() {
-			addStem(f.Signal, word, m0, m1)
+			addStem(f.Signal, m0, m1)
 			pb.addSignal(f.Signal)
 			continue
 		}
 		con := c.Consumers(f.Signal)[f.Consumer]
 		switch con.Kind {
 		case netlist.ConsumerGate:
-			addBranch(con.Index, con.Pin, word, m0, m1)
+			addBranch(con.Index, con.Pin, m0, m1)
 			if pb.gateMark[con.Index] != pb.epoch {
 				pb.gateMark[con.Index] = pb.epoch
 			}
 			pb.addSignal(netlist.SignalID(csr.Out[con.Index]))
 		case netlist.ConsumerDFF:
-			addDFFForce(con.Index, word, m0, m1)
+			addDFFForce(con.Index, m0, m1)
 			if pb.dffMark[con.Index] != pb.epoch {
 				pb.dffMark[con.Index] = pb.epoch
 			}
@@ -390,8 +342,8 @@ func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 }
 
 // finalize copies the temporary build lists into exact-size slab-backed
-// slices. Mask slices are re-carved from the mask slab so each finished
-// plan is self-contained and the arena can be reused by the next group.
+// slices, so each finished plan is self-contained and the temporaries can
+// be reused by the next group.
 func (pb *planBuilder) finalize() plan {
 	var p plan
 	p.gates = pb.carveI32(pb.tGates)
@@ -406,27 +358,19 @@ func (pb *planBuilder) finalize() plan {
 	}
 	if n := len(pb.tStems); n > 0 {
 		p.stems = pb.stemSlab.alloc(n)
-		for i, sm := range pb.tStems {
-			p.stems[i] = sigMask{sig: sm.sig, m0: pb.maskCopy(sm.m0), m1: pb.maskCopy(sm.m1)}
-		}
+		copy(p.stems, pb.tStems)
 	}
 	if n := len(pb.tBranches); n > 0 {
 		p.branches = pb.brSlab.alloc(n)
-		for i, b := range pb.tBranches {
-			p.branches[i] = gatePinMask{gate: b.gate, pin: b.pin, m0: pb.maskCopy(b.m0), m1: pb.maskCopy(b.m1)}
-		}
+		copy(p.branches, pb.tBranches)
 	}
 	if n := len(pb.tDFFForce); n > 0 {
 		p.dffForce = pb.dffSlab.alloc(n)
-		for i, df := range pb.tDFFForce {
-			p.dffForce[i] = dffMask{dff: df.dff, m0: pb.maskCopy(df.m0), m1: pb.maskCopy(df.m1)}
-		}
+		copy(p.dffForce, pb.tDFFForce)
 	}
 	if n := len(pb.tSites); n > 0 {
 		p.sites = pb.siteSlab.alloc(n)
-		for i, s := range pb.tSites {
-			p.sites[i] = site{sig: s.sig, stuck: s.stuck, lanes: pb.maskCopy(s.lanes)}
-		}
+		copy(p.sites, pb.tSites)
 	}
 	return p
 }

@@ -52,8 +52,8 @@ func diffCheck(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault,
 }
 
 // diffCheckOpts is diffCheck with a full Options block for the engine
-// under test: lane width, forced propagation mode, and worker count all
-// must reproduce the 64-lane full-evaluation reference bit for bit.
+// under test: forced propagation mode and worker count must both
+// reproduce the full-evaluation reference bit for bit.
 func diffCheckOpts(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, opts Options) {
 	t.Helper()
 	active := New(c, fl, opts)

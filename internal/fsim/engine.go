@@ -134,7 +134,7 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 		activated := false
 		for i := range p.sites {
 			s := &p.sites[i]
-			if s.lanes[0]&alive == 0 {
+			if s.lanes&alive == 0 {
 				continue
 			}
 			if goodVals[s.sig] != s.stuck {
@@ -154,8 +154,8 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 	// (lastEval: gates evaluated by the last queue step, or diverged
 	// outputs seen by the last dense step). Wide divergence pays for a
 	// straight dense walk of the region; sparse divergence is cheaper
-	// event-driven. Options.Mode can pin either structure.
-	if e.opts.Mode == ModeDense || (e.opts.Mode == ModeAuto && int(g.lastEval)*5 > len(p.gates)*2) {
+	// event-driven. The mode test hook can pin either structure.
+	if e.opts.mode == modeDense || (e.opts.mode == modeAuto && int(g.lastEval)*5 > len(p.gates)*2) {
 		return e.stepGroupDense(sc, g, goodVals, state, divDFF)
 	}
 

@@ -4,11 +4,10 @@
 //
 //   - Engine (constructed by New with an Options block, see options.go;
 //     the convenience Run wraps it): a parallel-fault simulator packing
-//     64 faulty machines per logic.Word lane set — or 128/256 with
-//     Options.Lanes — with fault dropping and first-detection-time
-//     recording. Engine can carry machine state across calls, which the
-//     ATPG substrate uses to evaluate candidate subsequences cheaply
-//     from the current state.
+//     64 faulty machines per group, one per logic.Word lane, with fault
+//     dropping and first-detection-time recording. Engine can carry
+//     machine state across calls, which the ATPG substrate uses to
+//     evaluate candidate subsequences cheaply from the current state.
 //   - Single: a two-machine scalar simulator for one fault with early
 //     exit on detection, allocation-free after creation.
 //   - Batch (batch.go): the candidate-parallel form of Single that
@@ -98,14 +97,13 @@ func (r Result) Coverage() float64 {
 // Run fault-simulates seq from the all-unknown state against the given
 // fault list and returns per-fault detection results. It shards the fault
 // groups across DefaultParallelism goroutines; the results are identical
-// to any other worker count or lane width.
+// to any other worker count.
 func Run(c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence) Result {
 	return New(c, fl, Options{Workers: DefaultParallelism()}).Run(seq)
 }
 
 // group is one batch of up to 64 faults simulated bit-parallel, with the
-// static simulation plan of its union active region. Wider lane widths
-// use wgroup (wide.go) instead.
+// static simulation plan of its union active region.
 type group struct {
 	fault []int // indices into the fault list, one per lane
 	alive uint64
@@ -125,7 +123,7 @@ type group struct {
 	// activity predictor that picks the propagation structure (engine.go).
 	lastEval int32
 
-	// Escalation state (ModeAuto): hotCalls counts consecutive committing
+	// Escalation state (modeAuto): hotCalls counts consecutive committing
 	// calls whose average activity exceeded the escalation threshold;
 	// escalated groups run the full-netlist stepper with dense state until
 	// they reconverge (see noteActivity).
@@ -142,7 +140,6 @@ type Engine struct {
 	fl  []faults.Fault
 
 	opts Options
-	nw   int // words per lane set: Options.Lanes / 64
 
 	good      *sim.Simulator
 	goodState []logic.Value
@@ -161,8 +158,7 @@ type Engine struct {
 	// Pooled good-value trace, one row per time unit of the current call.
 	trace goodTrace
 
-	groups  []group  // 64-lane groups (nw == 1)
-	wgroups []wgroup // wide groups (nw > 1, wide.go)
+	groups  []group
 	liveBuf []int
 
 	// sc is the serial path's scratch; the sharded scheduler draws one
@@ -170,8 +166,6 @@ type Engine struct {
 	sc            *scratch
 	workers       int
 	workerScratch []*scratch
-	wsc           *wscratch
-	workerWide    []*wscratch
 
 	// Cone-aware static shards for the parallel scheduler: shards[w]
 	// lists the group indices worker w owns (parallel.go). Rebuilt when
@@ -310,34 +304,24 @@ func (t *goodTrace) ensure(n, width int) [][]logic.Value {
 func (e *Engine) buildGroups() {
 	c := e.c
 	order := packOrder(c, e.fl)
-	pb := newPlanBuilder(c, e.nw)
-	lanes := 64 * e.nw
-	for start := 0; start < len(order); start += lanes {
-		end := start + lanes
+	pb := newPlanBuilder(c)
+	for start := 0; start < len(order); start += 64 {
+		end := start + 64
 		if end > len(order) {
 			end = len(order)
 		}
-		n := end - start
-		faultIdx := pb.faultSlab.alloc(n)
+		faultIdx := pb.faultSlab.alloc(end - start)
 		copy(faultIdx, order[start:end])
-		p := pb.build(e.fl, faultIdx)
-		if e.nw == 1 {
-			g := group{
-				fault: faultIdx,
-				state: pb.wordSlab.alloc(c.NumDFFs()),
-				plan:  p,
-			}
-			for i := range g.state {
-				g.state[i] = logic.AllX()
-			}
-			g.alive = ^uint64(0)
-			if n < 64 {
-				g.alive = (uint64(1) << uint(n)) - 1
-			}
-			e.groups = append(e.groups, g)
-		} else {
-			e.wgroups = append(e.wgroups, newWGroup(pb, faultIdx, p, n, c.NumDFFs()))
+		g := group{
+			fault: faultIdx,
+			alive: fullAlive64(len(faultIdx)),
+			state: pb.wordSlab.alloc(c.NumDFFs()),
+			plan:  pb.build(e.fl, faultIdx),
 		}
+		for i := range g.state {
+			g.state[i] = logic.AllX()
+		}
+		e.groups = append(e.groups, g)
 	}
 }
 
@@ -352,17 +336,17 @@ func (e *Engine) buildGroups() {
 func (e *Engine) loadPlan(sc *scratch, g *group) {
 	alive := g.alive
 	for _, sm := range g.plan.stems {
-		sc.stem0[sm.sig] = sm.m0[0] & alive
-		sc.stem1[sm.sig] = sm.m1[0] & alive
+		sc.stem0[sm.sig] = sm.m0 & alive
+		sc.stem1[sm.sig] = sm.m1 & alive
 	}
 	for _, b := range g.plan.branches {
-		if m0, m1 := b.m0[0]&alive, b.m1[0]&alive; m0|m1 != 0 {
+		if m0, m1 := b.m0&alive, b.m1&alive; m0|m1 != 0 {
 			sc.branchAt[b.gate] = append(sc.branchAt[b.gate], pinForce{pin: b.pin, m0: m0, m1: m1})
 		}
 	}
 	for _, df := range g.plan.dffForce {
-		sc.dff0[df.dff] = df.m0[0] & alive
-		sc.dff1[df.dff] = df.m1[0] & alive
+		sc.dff0[df.dff] = df.m0 & alive
+		sc.dff1[df.dff] = df.m1 & alive
 	}
 }
 
@@ -416,8 +400,6 @@ func (e *Engine) goodTracePeek(seq vectors.Sequence) [][]logic.Value {
 
 // detection locates one newly detected fault in the canonical reporting
 // schedule: relative time unit u, group index gi, lane within the group.
-// Lane numbering is word-major (lane = word*64 + bit), so the order is
-// identical at every lane width.
 type detection struct {
 	u, gi, lane int
 }
@@ -440,17 +422,6 @@ func (e *Engine) Extend(seq vectors.Sequence) []int {
 	live := e.liveGroups()
 	if e.workers > 1 && len(live) > 1 {
 		return e.extendParallel(seq, goodVals, live)
-	}
-	if e.nw > 1 {
-		wsc := e.wsc
-		wsc.dets = wsc.dets[:0]
-		for _, gi := range live {
-			e.wextendGroup(wsc, &e.wgroups[gi], gi, seq, goodVals)
-		}
-		newly := e.mergeDetections(wsc.dets, len(seq))
-		wsc.dets = wsc.dets[:0]
-		wsc.flushInto(e)
-		return newly
 	}
 	sc := e.sc
 	sc.dets = sc.dets[:0]
@@ -513,7 +484,7 @@ func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence
 	}
 }
 
-// Escalation thresholds (ModeAuto, 64-lane engine): a group escalates to
+// Escalation thresholds (modeAuto): a group escalates to
 // the full-netlist stepper when its region spans at least
 // escRegionNum/escRegionDen of the netlist AND its measured activity
 // (gates evaluated per time unit) stays above escActivityNum/
@@ -531,7 +502,7 @@ const (
 // committing region-engine call that evaluated the given gate count over
 // the given number of time units.
 func (e *Engine) noteActivity(sc *scratch, g *group, evaluated int64, steps int) {
-	if e.opts.Mode != ModeAuto || steps == 0 {
+	if e.opts.mode != modeAuto || steps == 0 {
 		return
 	}
 	region := len(g.plan.gates)
@@ -599,16 +570,9 @@ func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
 	})
 	var newly []int
 	for _, d := range dets {
-		var fi int
-		if e.nw > 1 {
-			g := &e.wgroups[d.gi]
-			fi = g.fault[d.lane]
-			g.dropLane(d.lane)
-		} else {
-			g := &e.groups[d.gi]
-			fi = g.fault[d.lane]
-			g.alive &^= 1 << uint(d.lane)
-		}
+		g := &e.groups[d.gi]
+		fi := g.fault[d.lane]
+		g.alive &^= 1 << uint(d.lane)
 		e.detected[fi] = true
 		e.detTime[fi] = e.now + d.u
 		e.numDet++
@@ -649,15 +613,6 @@ func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 	live := e.liveGroups()
 	if e.workers > 1 && len(live) > 1 {
 		return e.evaluateParallel(seq, goodVals, live)
-	}
-	if e.nw > 1 {
-		for _, gi := range live {
-			g := &e.wgroups[gi]
-			e.wevaluateGroup(e.wsc, g, seq, goodVals, &divergence)
-			newly = appendDetected(newly, g.fault, e.wsc.detAll)
-		}
-		e.wsc.flushInto(e)
-		return newly, divergence
 	}
 	for _, gi := range live {
 		g := &e.groups[gi]

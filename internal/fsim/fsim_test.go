@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"reflect"
 	"testing"
 
 	"seqbist/internal/faults"
@@ -386,4 +387,64 @@ func TestManyFaultsAcrossGroupBoundary(t *testing.T) {
 				i, fl[i].Name(c), det, at, par.Detected[i], par.DetTime[i])
 		}
 	}
+}
+
+// TestForcedModesMatchFull pins the two forced propagation structures:
+// each must match the full-evaluation reference on its own.
+func TestForcedModesMatchFull(t *testing.T) {
+	modes := []struct {
+		name string
+		mode propMode
+	}{{"queue", modeQueue}, {"dense", modeDense}}
+	for _, name := range []string{"s298", "s526"} {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		rng := xrand.New(707)
+		bin := vectors.RandomSequence(rng, c.NumPIs(), 40)
+		xh := xheavySequence(rng, c.NumPIs(), 40)
+		for _, m := range modes {
+			opts := Options{mode: m.mode}
+			diffCheckOpts(t, name+"/"+m.name, c, fl, bin, opts)
+			diffCheckOpts(t, name+"/"+m.name+"/xheavy", c, fl, xh, opts)
+		}
+	}
+}
+
+// TestEngineRunReuse pins the Options-API contract that an Engine is
+// reusable: two Run calls on one engine must equal a fresh engine's Run,
+// and an Extend after a Run must start from the reset state.
+func TestEngineRunReuse(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	fl := faults.CollapsedUniverse(c)
+	seq := vectors.RandomSequence(xrand.New(808), c.NumPIs(), 50)
+	e := New(c, fl, Options{Workers: 2})
+	first := e.Run(seq)
+	second := e.Run(seq)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("second Run on the same engine differs from the first")
+	}
+	fresh := New(c, fl, Options{}).Run(seq)
+	if !reflect.DeepEqual(first, fresh) {
+		t.Fatal("reused engine differs from a fresh engine")
+	}
+}
+
+// TestOptionsValidation pins the constructor's panic on a meaningless
+// configuration and the zero-value defaults.
+func TestOptionsValidation(t *testing.T) {
+	c := iscas.S27()
+	fl := faults.CollapsedUniverse(c)
+	if got := New(c, fl, Options{}).Options(); got.Workers != 1 || got.FullEvaluation {
+		t.Fatalf("normalized zero Options = %+v, want Workers=1", got)
+	}
+	mustPanic := func(name string, opts Options) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: New did not panic", name)
+			}
+		}()
+		New(c, fl, opts)
+	}
+	mustPanic("mode=99", Options{mode: propMode(99)})
 }

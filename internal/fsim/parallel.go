@@ -62,30 +62,13 @@ func earlyExitStride(c *netlist.Circuit) int {
 // next call.
 func (e *Engine) liveGroups() []int {
 	live := e.liveBuf[:0]
-	if e.nw > 1 {
-		for gi := range e.wgroups {
-			if e.wgroups[gi].anyAlive() {
-				live = append(live, gi)
-			}
-		}
-	} else {
-		for gi := range e.groups {
-			if e.groups[gi].alive != 0 {
-				live = append(live, gi)
-			}
+	for gi := range e.groups {
+		if e.groups[gi].alive != 0 {
+			live = append(live, gi)
 		}
 	}
 	e.liveBuf = live
 	return live
-}
-
-// planOf returns the simulation plan of group gi at the engine's lane
-// width.
-func (e *Engine) planOf(gi int) *plan {
-	if e.nw > 1 {
-		return &e.wgroups[gi].plan
-	}
-	return &e.groups[gi].plan
 }
 
 // ensureShards (re)builds the static cone-aware shards over the live
@@ -99,7 +82,7 @@ func (e *Engine) ensureShards(live []int) {
 	}
 	cones := e.conesBuf[:0]
 	for _, gi := range live {
-		cones = append(cones, e.planOf(gi).gates)
+		cones = append(cones, e.groups[gi].plan.gates)
 	}
 	e.conesBuf = cones
 	parts := netlist.ConePartition(cones, e.workers)
@@ -122,12 +105,6 @@ func (e *Engine) ensureShards(live []int) {
 // Scratches are retained across calls: Extend/Evaluate invocations are
 // sequential, so reuse is safe and keeps the hot path allocation-free.
 func (e *Engine) ensureWorkerScratch(n int) {
-	if e.nw > 1 {
-		for len(e.workerWide) < n {
-			e.workerWide = append(e.workerWide, newWScratch(e.c, e.nw))
-		}
-		return
-	}
 	for len(e.workerScratch) < n {
 		e.workerScratch = append(e.workerScratch, newScratch(e.c))
 	}
@@ -146,14 +123,9 @@ func (e *Engine) runShards(fn func(w, gi int)) {
 		go func(w int) {
 			defer wg.Done()
 			for _, gi := range e.shards[w] {
-				if e.nw > 1 {
-					if !e.wgroups[gi].anyAlive() {
-						continue
-					}
-				} else if e.groups[gi].alive == 0 {
-					continue
+				if e.groups[gi].alive != 0 {
+					fn(w, gi)
 				}
-				fn(w, gi)
 			}
 		}(w)
 	}
@@ -166,26 +138,11 @@ func (e *Engine) runShards(fn func(w, gi int)) {
 func (e *Engine) extendParallel(seq vectors.Sequence, goodVals [][]logic.Value, live []int) []int {
 	e.ensureShards(live)
 	e.ensureWorkerScratch(len(e.shards))
-	if e.nw > 1 {
-		e.runShards(func(w, gi int) {
-			e.wextendGroup(e.workerWide[w], &e.wgroups[gi], gi, seq, goodVals)
-		})
-		// Gather the per-worker detection buffers and merge them in the
-		// serial emission order (mergeDetections sorts by time, group,
-		// lane).
-		all := e.wsc.dets[:0]
-		for _, wsc := range e.workerWide {
-			all = append(all, wsc.dets...)
-			wsc.dets = wsc.dets[:0]
-			wsc.flushInto(e)
-		}
-		newly := e.mergeDetections(all, len(seq))
-		e.wsc.dets = all[:0]
-		return newly
-	}
 	e.runShards(func(w, gi int) {
 		e.extendGroup(e.workerScratch[w], &e.groups[gi], gi, seq, goodVals)
 	})
+	// Gather the per-worker detection buffers and merge them in the
+	// serial emission order (mergeDetections sorts by time, group, lane).
 	all := e.sc.dets[:0]
 	for _, sc := range e.workerScratch {
 		all = append(all, sc.dets...)
@@ -205,9 +162,6 @@ func (e *Engine) evaluateParallel(seq vectors.Sequence, goodVals [][]logic.Value
 	e.ensureShards(live)
 	e.ensureWorkerScratch(len(e.shards))
 	ngroups := len(e.groups)
-	if e.nw > 1 {
-		ngroups = len(e.wgroups)
-	}
 	for len(e.newlyBuf) < ngroups {
 		e.newlyBuf = append(e.newlyBuf, nil)
 	}
@@ -219,29 +173,17 @@ func (e *Engine) evaluateParallel(seq vectors.Sequence, goodVals [][]logic.Value
 		e.newlyBuf[gi] = e.newlyBuf[gi][:0]
 		e.divBuf[gi] = 0
 	}
-	if e.nw > 1 {
-		e.runShards(func(w, gi int) {
-			g := &e.wgroups[gi]
-			wsc := e.workerWide[w]
-			e.wevaluateGroup(wsc, g, seq, goodVals, &e.divBuf[gi])
-			e.newlyBuf[gi] = appendDetected(e.newlyBuf[gi], g.fault, wsc.detAll)
-		})
-		for _, wsc := range e.workerWide {
-			wsc.flushInto(e)
+	e.runShards(func(w, gi int) {
+		g := &e.groups[gi]
+		detAll := e.evaluateGroup(e.workerScratch[w], g, seq, goodVals, &e.divBuf[gi])
+		for detAll != 0 {
+			lane := trailingZeros(detAll)
+			detAll &^= 1 << uint(lane)
+			e.newlyBuf[gi] = append(e.newlyBuf[gi], g.fault[lane])
 		}
-	} else {
-		e.runShards(func(w, gi int) {
-			g := &e.groups[gi]
-			detAll := e.evaluateGroup(e.workerScratch[w], g, seq, goodVals, &e.divBuf[gi])
-			for detAll != 0 {
-				lane := trailingZeros(detAll)
-				detAll &^= 1 << uint(lane)
-				e.newlyBuf[gi] = append(e.newlyBuf[gi], g.fault[lane])
-			}
-		})
-		for _, sc := range e.workerScratch {
-			sc.flushInto(e)
-		}
+	})
+	for _, sc := range e.workerScratch {
+		sc.flushInto(e)
 	}
 	for _, gi := range live {
 		newly = append(newly, e.newlyBuf[gi]...)

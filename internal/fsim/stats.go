@@ -12,8 +12,7 @@ import "sync/atomic"
 var (
 	// gatesEvaluated counts gates the parallel-fault engine actually
 	// evaluated: the work remaining after cone restriction, activity
-	// gating, and quiescence. A wide group (Options.Lanes > 64) counts one
-	// evaluation per gate regardless of lane width.
+	// gating, and quiescence.
 	gatesEvaluated atomic.Int64
 	// gatesSkipped counts gates a full-netlist sweep would have evaluated
 	// but the active-region engine proved unnecessary (their value is the
@@ -28,10 +27,6 @@ var (
 	// their region spans the netlist and stays hot (fsim.go,
 	// noteActivity). Each escalation transition counts once.
 	groupsEscalated atomic.Int64
-	// wordsInert counts per-gate word evaluations the wide engines skipped
-	// because every lane of the word slot was already dropped (dead-word
-	// inerting, wide.go).
-	wordsInert atomic.Int64
 )
 
 // SimStats is a snapshot of simulation-efficiency counters — the
@@ -46,7 +41,6 @@ type SimStats struct {
 	GatesSkipped    int64 `json:"gates_skipped"`
 	GroupsQuiescent int64 `json:"groups_quiescent"`
 	GroupsEscalated int64 `json:"groups_escalated"`
-	WordsInert      int64 `json:"words_inert"`
 }
 
 // Stats returns the cumulative simulation-efficiency counters for this
@@ -58,7 +52,6 @@ func Stats() SimStats {
 		GatesSkipped:    gatesSkipped.Load(),
 		GroupsQuiescent: groupsQuiescent.Load(),
 		GroupsEscalated: groupsEscalated.Load(),
-		WordsInert:      wordsInert.Load(),
 	}
 }
 
@@ -77,10 +70,6 @@ func GroupsQuiescent() int64 { return groupsQuiescent.Load() }
 // GroupsEscalated returns the cumulative count of fault groups escalated
 // to full-netlist evaluation by the activity heuristic.
 func GroupsEscalated() int64 { return groupsEscalated.Load() }
-
-// WordsInert returns the cumulative per-gate word evaluations skipped by
-// the wide engines' dead-word inerting.
-func WordsInert() int64 { return wordsInert.Load() }
 
 // flushInto adds a scratch's locally accumulated counters to the
 // process-wide gauges and the owning engine's private counters, then
@@ -106,29 +95,5 @@ func (sc *scratch) flushInto(e *Engine) {
 		groupsEscalated.Add(sc.escalated)
 		e.estat.GroupsEscalated += sc.escalated
 		sc.escalated = 0
-	}
-}
-
-// flushInto is the wide-scratch counterpart of (*scratch).flushInto.
-func (wsc *wscratch) flushInto(e *Engine) {
-	if wsc.evaluated != 0 {
-		gatesEvaluated.Add(wsc.evaluated)
-		e.estat.GatesEvaluated += wsc.evaluated
-		wsc.evaluated = 0
-	}
-	if wsc.skipped != 0 {
-		gatesSkipped.Add(wsc.skipped)
-		e.estat.GatesSkipped += wsc.skipped
-		wsc.skipped = 0
-	}
-	if wsc.quiescent != 0 {
-		groupsQuiescent.Add(wsc.quiescent)
-		e.estat.GroupsQuiescent += wsc.quiescent
-		wsc.quiescent = 0
-	}
-	if wsc.inert != 0 {
-		wordsInert.Add(wsc.inert)
-		e.estat.WordsInert += wsc.inert
-		wsc.inert = 0
 	}
 }

@@ -123,7 +123,7 @@ func TestClusterSweepAdoption(t *testing.T) {
 	mspec := JobSpec{Circuit: "s27", Config: cfg}
 	msData, _ := json.Marshal(mspec)
 	if err := seed.PutJob(store.JobRecord{
-		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1, 0)),
+		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
 		Circuit: "s27", Spec: msData, Node: "dead", SweepID: swID, Member: 0,
 		Tenant: "alpha", State: string(StateQueued), Submitted: created,
 	}); err != nil {

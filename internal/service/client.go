@@ -75,31 +75,17 @@ func (c *Client) baseDelay() time.Duration {
 }
 
 // apiError is the structured error body every non-2xx response carries:
-// the typed envelope of errors.go. The `error` field is kept raw so the
-// pre-envelope bare-string form still decodes (servers one release back).
+// the typed envelope of errors.go.
 type apiError struct {
-	Error       json.RawMessage `json:"error"`
-	ErrorString string          `json:"error_string"`
+	Error ErrorDetail `json:"error"`
 }
 
-// detail extracts the typed detail, tolerating the legacy shapes: an
-// `error` object, a bare `error` string, or only the transitional
-// `error_string`. ok reports whether anything usable was present.
+// detail extracts the typed detail; ok reports whether anything usable
+// was present. A body of another shape (a proxy's page, say) decodes to
+// nothing and the caller falls back to the HTTP status.
 func (ae *apiError) detail() (ErrorDetail, bool) {
-	var d ErrorDetail
-	if len(ae.Error) > 0 {
-		if json.Unmarshal(ae.Error, &d) == nil && (d.Code != "" || d.Message != "") {
-			return d, true
-		}
-		var s string
-		if json.Unmarshal(ae.Error, &s) == nil && s != "" {
-			return ErrorDetail{Message: s}, true
-		}
-	}
-	if ae.ErrorString != "" {
-		return ErrorDetail{Message: ae.ErrorString}, true
-	}
-	return d, false
+	d := ae.Error
+	return d, d.Code != "" || d.Message != ""
 }
 
 // retryableStatus reports whether an HTTP status is worth retrying: the

@@ -63,7 +63,7 @@ func TestClientNoRetryOnClientError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"unknown circuit"}`))
+		w.Write([]byte(`{"error":{"code":"invalid_spec","message":"unknown circuit"}}`))
 	}))
 	defer srv.Close()
 

@@ -519,7 +519,7 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		var spec JobSpec
 		err := json.Unmarshal(rec.Spec, &spec)
 		if err == nil {
-			cfg = spec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes)
+			cfg = spec.Config.withDefaults(s.cfg.SimParallelism)
 			if c, err = resolveCircuit(spec, bench.Limits{}); err == nil {
 				t0, err = resolveT0(spec, c)
 			}
@@ -617,7 +617,7 @@ func (s *Service) mirrorJob(rec *store.JobRecord) *job {
 		seq:           rec.Seq,
 		key:           rec.Key,
 		spec:          spec,
-		cfg:           spec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes),
+		cfg:           spec.Config.withDefaults(s.cfg.SimParallelism),
 		circuit:       rec.Circuit,
 		node:          rec.Node,
 		tenant:        rec.Tenant,

@@ -95,7 +95,7 @@ func TestClusterStealsExpiredLease(t *testing.T) {
 	spec := JobSpec{Circuit: "s27", Config: cfg}
 	specData, _ := json.Marshal(spec)
 	stolen := store.JobRecord{
-		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1, 0)),
+		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
 		Circuit: "s27", Spec: specData, Node: "dead", Member: -1,
 		State: string(StateRunning), Submitted: time.Now(), Started: time.Now(),
 	}
@@ -112,7 +112,7 @@ func TestClusterStealsExpiredLease(t *testing.T) {
 	c344 := iscas.MustLoad("s344")
 	spec344 := JobSpec{Circuit: "s344", Config: cfg}
 	fenced.Spec, _ = json.Marshal(spec344)
-	fenced.Key = contentKey(c344, "", cfg.withDefaults(1, 0))
+	fenced.Key = contentKey(c344, "", cfg.withDefaults(1))
 	fenced.Circuit = "s344"
 	if err := seed.PutJob(fenced); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestClusterRemoteCancelDetachesOnlyCanceledJob(t *testing.T) {
 	spec := JobSpec{Circuit: "s1423", Config: gen}
 	specData, _ := json.Marshal(spec)
 	remote := store.JobRecord{
-		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", gen.withDefaults(1, 0)),
+		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", gen.withDefaults(1)),
 		Circuit: "s1423", Spec: specData, Node: "a", Member: -1,
 		State: string(StateQueued), Submitted: time.Now(),
 	}
@@ -237,7 +237,7 @@ func TestClusterRecoveryRebuildsOwnRecordsOnly(t *testing.T) {
 	spec := JobSpec{Circuit: "s27", Config: cfg}
 	specData, _ := json.Marshal(spec)
 	mine := store.JobRecord{
-		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1, 0)),
+		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
 		Circuit: "s27", Spec: specData, Node: "a", Member: -1,
 		State: string(StateQueued), Submitted: time.Now(),
 	}

@@ -10,13 +10,11 @@ import (
 // This file is the single HTTP error surface: every 4xx/5xx the service
 // writes goes through writeAPIError and carries the same typed envelope
 //
-//	{"error": {"code": ..., "message": ..., "retry_after_s": ...},
-//	 "error_string": ...}
+//	{"error": {"code": ..., "message": ..., "retry_after_s": ...}}
 //
 // The code is machine-readable (service.Client classifies retries off
-// it), retry_after_s mirrors the Retry-After header when one applies,
-// and error_string is the pre-envelope bare string kept one release for
-// old clients. See API.md "Errors".
+// it) and retry_after_s mirrors the Retry-After header when one applies.
+// See API.md "Errors".
 
 // Error codes of the envelope. Stable API surface: clients switch on
 // these, so renaming one is a breaking change.
@@ -45,24 +43,15 @@ type ErrorDetail struct {
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
-// errorEnvelope is the wire shape of an error response. ErrorString
-// duplicates Message under the pre-envelope key `error` being replaced
-// by the object; it is deprecated and will be dropped next release.
+// errorEnvelope is the wire shape of an error response.
 type errorEnvelope struct {
 	Error ErrorDetail `json:"error"`
-	// Deprecated: transitional copy of Error.Message for clients that
-	// still decode {"error": "<string>"} — they must move to the
-	// envelope before the field disappears.
-	ErrorString string `json:"error_string,omitempty"`
 }
 
 // writeAPIError writes one enveloped error response, setting the
 // Retry-After header when retryAfter is positive.
 func writeAPIError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	env := errorEnvelope{
-		Error:       ErrorDetail{Code: code, Message: msg},
-		ErrorString: msg,
-	}
+	env := errorEnvelope{Error: ErrorDetail{Code: code, Message: msg}}
 	if retryAfter > 0 {
 		secs := retryAfterSecs(retryAfter)
 		env.Error.RetryAfterS = secs

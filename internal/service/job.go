@@ -66,9 +66,10 @@ type GenConfig struct {
 	// Parallelism is the per-job fault-simulation goroutine count
 	// (0 = the service default).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Lanes is the per-job fault-packing width (0/64/128/256; 0 = the
-	// engine default of 64). Like Parallelism, it changes speed only,
-	// never results.
+	// Deprecated: ignored. Lanes was the per-job fault-packing width; the
+	// simulator now always packs 64 faults per group. Specs, stored
+	// records, and clients that still carry "lanes" are accepted, and
+	// ValidateSpec rejects the values it always rejected.
 	Lanes int `json:"lanes,omitempty"`
 	// Strategy names the synthesis strategy from internal/strategy
 	// ("greedy", "restart", "anneal", "genetic", or "race"; default
@@ -83,7 +84,7 @@ type GenConfig struct {
 // Service default: claim loops re-resolve peer specs through this
 // function, so it must be a pure function of the spec or two cluster
 // members could disagree about what a stored record means.
-func (g GenConfig) withDefaults(simParallelism, simLanes int) GenConfig {
+func (g GenConfig) withDefaults(simParallelism int) GenConfig {
 	if g.N < 1 {
 		g.N = 4
 	}
@@ -95,9 +96,6 @@ func (g GenConfig) withDefaults(simParallelism, simLanes int) GenConfig {
 	}
 	if g.Parallelism < 1 {
 		g.Parallelism = simParallelism
-	}
-	if g.Lanes < 1 {
-		g.Lanes = simLanes
 	}
 	if g.Strategy == "" {
 		g.Strategy = strategy.Default
@@ -145,9 +143,9 @@ func resolveT0(spec JobSpec, c *netlist.Circuit) (vectors.Sequence, error) {
 // a structurally identical upload produce equal numbers but differently
 // labeled results, so they must not share a cache entry.
 func contentKey(c *netlist.Circuit, t0 string, cfg GenConfig) string {
-	// Parallelism and Lanes are execution details: results are bit-for-bit
-	// identical for any worker count and lane width, so they must not
-	// fragment the cache.
+	// Parallelism is an execution detail (results are bit-for-bit
+	// identical for any worker count) and Lanes is ignored, so neither
+	// may fragment the cache.
 	cfg.Parallelism = 0
 	cfg.Lanes = 0
 	h := sha256.New()

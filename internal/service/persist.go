@@ -336,7 +336,7 @@ func (s *Service) recover() []*execution {
 			seq:       rec.Seq,
 			key:       rec.Key,
 			spec:      spec,
-			cfg:       spec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes),
+			cfg:       spec.Config.withDefaults(s.cfg.SimParallelism),
 			circuit:   rec.Circuit,
 			node:      rec.Node,
 			tenant:    rec.Tenant,
@@ -654,7 +654,7 @@ func (s *Service) resubmitLostMember(rc *recovery, sw *sweep, i int) *job {
 	if err != nil {
 		return nil
 	}
-	cfg := spec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes)
+	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
 	s.seq++
 	idx := i
 	j := &job{
@@ -713,7 +713,7 @@ func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, memberCfg Gen
 		li := li
 		legSpec := spec
 		legSpec.Config.Strategy = name
-		cfg := legSpec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes)
+		cfg := legSpec.Config.withDefaults(s.cfg.SimParallelism)
 		s.seq++
 		j := &job{
 			id:        s.newJobID(s.seq),

@@ -170,7 +170,7 @@ func TestRecoveryMidSweepCrash(t *testing.T) {
 		return store.JobRecord{
 			ID:        jobID(seq),
 			Seq:       seq,
-			Key:       contentKey(c, "", cfg.withDefaults(1, 0)),
+			Key:       contentKey(c, "", cfg.withDefaults(1)),
 			Circuit:   circuit,
 			Spec:      specData,
 			SweepID:   "sweep-0001",
@@ -280,7 +280,7 @@ func TestRecoveryCanceledSweep(t *testing.T) {
 	}
 	c := iscas.MustLoad("s27")
 	if err := st.PutJob(store.JobRecord{
-		ID: jobID(1), Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1, 0)),
+		ID: jobID(1), Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
 		Circuit: "s27", Spec: specData, SweepID: "sweep-0001", Member: 0,
 		State: string(StateRunning), Submitted: now,
 	}); err != nil {

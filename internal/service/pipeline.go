@@ -99,7 +99,7 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid job: %w", err)
 	}
-	return synthesize(ctx, c, t0, spec.Config.withDefaults(0, 0), nil)
+	return synthesize(ctx, c, t0, spec.Config.withDefaults(0), nil)
 }
 
 // synthesize runs the full pipeline for one job: T0 (supplied or ATPG +
@@ -139,7 +139,6 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 		OmissionRestart:   true,
 		MaxOmissionTrials: cfg.MaxOmissionTrials,
 		Parallelism:       cfg.Parallelism,
-		Lanes:             cfg.Lanes,
 		Interrupt:         func() bool { return ctx.Err() != nil },
 	}
 	strat, err := strategy.Get(cfg.Strategy)

@@ -73,11 +73,6 @@ type Config struct {
 	// SimParallelism is the default per-job fault-simulation goroutine
 	// count for jobs that do not set their own (0 = one per CPU).
 	SimParallelism int
-	// SimLanes is the default per-job fault-packing width for jobs that
-	// do not set their own (0 = the engine default of 64; otherwise a
-	// multiple of 64, typically 128 or 256). Lane width changes speed
-	// only, never results.
-	SimLanes int
 	// DefaultStrategy is applied to submissions that leave
 	// GenConfig.Strategy empty (default strategy.Default, the paper's
 	// greedy baseline). It is resolved at the submission edge — before
@@ -424,7 +419,7 @@ func (s *Service) SubmitAs(tenant string, spec JobSpec) (Status, error) {
 // to it (in-flight coalescing) and shares its lifecycle and result; the
 // coalesced counter in GET /metrics counts these attachments.
 func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpec, tenant, sweepID string, member int, onRunning func(Status), onTerminal func(Status, *Result)) (Status, error) {
-	cfg := spec.Config.withDefaults(s.cfg.SimParallelism, s.cfg.SimLanes)
+	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
 	key := contentKey(c, spec.T0, cfg)
 	if tenant == "" {
 		tenant = AnonymousTenant

@@ -347,7 +347,7 @@ func TestCacheLRU(t *testing.T) {
 // to structural no-ops (gate order) and sensitive to every config knob.
 func TestContentKey(t *testing.T) {
 	c := iscas.MustLoad("s27")
-	base := GenConfig{N: 4, Seed: 1, ATPGMaxLen: 1500}.withDefaults(0, 0)
+	base := GenConfig{N: 4, Seed: 1, ATPGMaxLen: 1500}.withDefaults(0)
 	k0 := contentKey(c, "", base)
 
 	variants := []GenConfig{
@@ -358,7 +358,7 @@ func TestContentKey(t *testing.T) {
 		{N: 4, Seed: 1, ATPGMaxLen: 1500, SkipCompact: true},
 	}
 	for i, v := range variants {
-		if contentKey(c, "", v.withDefaults(0, 0)) == k0 {
+		if contentKey(c, "", v.withDefaults(0)) == k0 {
 			t.Errorf("variant %d: config change did not change the key", i)
 		}
 	}

@@ -191,8 +191,7 @@ func TestBenchUploadErrors(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Job upload route. The body is the typed envelope; the
-			// legacy error_string mirror must match for one release.
+			// Job upload route. The body is the typed envelope.
 			var errBody errorEnvelope
 			code := httpJSON(t, client, "POST", ts.URL+"/v1/jobs",
 				JobSpec{Bench: tc.bench, Config: tinyCfg()}, &errBody)
@@ -204,9 +203,6 @@ func TestBenchUploadErrors(t *testing.T) {
 			}
 			if errBody.Error.Code != CodeInvalidSpec {
 				t.Errorf("job error code %q, want %q", errBody.Error.Code, CodeInvalidSpec)
-			}
-			if errBody.ErrorString != errBody.Error.Message {
-				t.Errorf("legacy error_string %q diverges from message %q", errBody.ErrorString, errBody.Error.Message)
 			}
 			// Sweep upload route: same body as a member, same 400, and the
 			// member index is located.

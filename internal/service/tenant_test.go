@@ -157,12 +157,12 @@ func TestTenantHTTPMatrix(t *testing.T) {
 
 	jobBody := `{"circuit":"s27","config":{"n":1,"atpg_max_len":40,"max_omission_trials":5}}`
 
-	// Unknown key: 401, typed envelope, legacy mirror intact.
+	// Unknown key: 401, typed envelope.
 	resp, env := post("/v1/jobs", "Bearer wrong", jobBody)
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unknown key: %d, want 401", resp.StatusCode)
 	}
-	if env.Error.Code != CodeUnauthorized || env.Error.Message == "" || env.ErrorString != env.Error.Message {
+	if env.Error.Code != CodeUnauthorized || env.Error.Message == "" {
 		t.Fatalf("401 envelope %+v", env)
 	}
 

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"seqbist/internal/fsim"
 	"seqbist/internal/strategy"
 )
 
 // ValidateSpec is the single submission-time validation edge for a job
-// spec's cheap shape checks: circuit/bench exclusivity, strategy and
-// lane validity, and non-negative numeric limits. Submit, SubmitSweep
-// (per member), and both CLIs route through it, so quota admission and
-// new constraints slot in at one choke point. It deliberately does NOT
+// spec's cheap shape checks: circuit/bench exclusivity, strategy
+// validity, the deprecated lanes field's old range, and non-negative
+// numeric limits. Submit, SubmitSweep (per member), and both CLIs route
+// through it, so quota admission and new constraints slot in at one
+// choke point. It deliberately does NOT
 // resolve the circuit or parse the T0 — those cost real work and stay
 // behind the service's upload limits — and an empty Strategy passes
 // (the submission edge resolves the configured default first).
@@ -33,7 +33,9 @@ func validateGenConfig(g GenConfig) error {
 	if g.Strategy != "" && !strategy.Valid(g.Strategy) {
 		return fmt.Errorf("unknown strategy %q (have %v)", g.Strategy, strategy.Names())
 	}
-	if !fsim.ValidLanes(g.Lanes) {
+	// Lanes is ignored, but the values it always rejected still get a
+	// 400 so the HTTP contract does not move.
+	if g.Lanes < 0 || g.Lanes%64 != 0 {
 		return fmt.Errorf("lanes %d: must be 0 or a multiple of 64", g.Lanes)
 	}
 	if g.N < 0 {

@@ -15,23 +15,24 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_12.json via scripts/bench_check.sh.
+# the counts against BENCH_13.json via scripts/bench_check.sh.
 #
-# BENCH_12.json in the repository root records the candidate-parallel
-# Procedure 2 round (BenchmarkProcedure2 before and after) plus the
-# expected detection counts of every leg; BENCH_9.json and BENCH_3.json
-# hold the earlier rounds' fault-simulation records.
+# BENCH_13.json in the repository root records the single-width
+# fault-simulation round (before/after timings of the remaining fault
+# simulation and Procedure 2 legs) plus the expected detection counts of
+# every leg; BENCH_12.json, BENCH_9.json and BENCH_3.json hold the
+# earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimLanes|FaultSimEvaluate|FaultSimSingle|Procedure2'
+BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimLanes/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2'
             COUNT=1x
             ;;
         -benchtime)

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic detection counts of a
 # scripts/bench.sh -json run against the expected counts committed in
-# BENCH_12.json ("detections" section), and fail on any mismatch. The
+# BENCH_13.json ("detections" section), and fail on any mismatch. The
 # counts cover every engine configuration the suite exercises — serial,
-# sharded (workers=1,2,4), the 128/256-lane multi-word packing legs, and
-# the candidate-parallel Procedure 2 leg — so behavior drift in any of
-# them fails the gate.
+# sharded (workers=1,2,4), and the candidate-parallel Procedure 2 leg —
+# so behavior drift in any of them fails the gate.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -13,12 +12,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_12.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_13.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_12.json}
+EXPECTED=${2:-BENCH_13.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N}
@@ -51,7 +50,6 @@ checked=0
 # benchmark (or a dropped ReportMetric) would shrink the comparison to
 # nothing while still "passing".
 for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
-    BenchmarkFaultSimLanes/s1423/lanes=128 BenchmarkFaultSimLanes/s1423/lanes=256 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
     BenchmarkProcedure2; do
     if ! echo "$RUNS" | awk -v n="$required" '$1 == n { found=1 } END { exit !found }'; then
