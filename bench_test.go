@@ -761,6 +761,42 @@ func BenchmarkProcedure2(b *testing.B) {
 	b.ReportMetric(float64(sims), "sims")
 }
 
+var (
+	compactVerifyOnce sync.Once
+	compactVerifyRes  *core.Result
+	compactVerifyErr  error
+)
+
+// BenchmarkCompactVerify runs the two post-selection steps — §3.2
+// compaction (core.CompactSet) and coverage certification
+// (core.VerifyCoverage) of the survivors — on the greedy Procedure 1
+// result for the seed-1 s1423 T0 at n=4 (unlimited omission trials,
+// built once outside the timer). It reports the targets the survivors
+// cover (all of F) and the number of survivors, both deterministic.
+func BenchmarkCompactVerify(b *testing.B) {
+	s := setupFor(b, "s1423")
+	cfg := core.DefaultConfig(4)
+	cfg.Parallelism = 1
+	compactVerifyOnce.Do(func() { compactVerifyRes, compactVerifyErr = core.Select(s.c, s.fl, s.t0, cfg) })
+	if compactVerifyErr != nil {
+		b.Fatal(compactVerifyErr)
+	}
+	res := compactVerifyRes
+	b.ReportAllocs()
+	b.ResetTimer()
+	var set []core.Selected
+	var missed []int
+	for i := 0; i < b.N; i++ {
+		set, _ = core.CompactSet(s.c, s.fl, res, cfg)
+		missed = core.VerifyCoverage(s.c, s.fl, res, set, cfg)
+	}
+	if len(missed) != 0 {
+		b.Fatalf("compacted set misses %d faults", len(missed))
+	}
+	b.ReportMetric(float64(res.NumTargets-len(missed)), "detected")
+	b.ReportMetric(float64(len(set)), "kept")
+}
+
 // BenchmarkStrategyPortfolio races the synthesis-strategy portfolio on
 // s5378 under a bounded search budget and reports what each strategy's
 // trials buy in coverage per kilobit of test memory (max stored length x

@@ -20,6 +20,7 @@
 package atpg
 
 import (
+	"errors"
 	"fmt"
 
 	"seqbist/internal/faults"
@@ -49,7 +50,15 @@ type Config struct {
 	// MaxExploreStreak bounds consecutive extensions that detect nothing
 	// but improve state divergence (the exploration moves of the GA).
 	MaxExploreStreak int
+	// Interrupt, when non-nil, is polled once per round, before the
+	// round's candidates are built. When it returns true, generation
+	// stops with ErrInterrupted. The service layer uses this to cancel
+	// in-flight jobs promptly.
+	Interrupt func() bool
 }
+
+// ErrInterrupted is returned by Generate when Config.Interrupt fired.
+var ErrInterrupted = errors.New("atpg: generation interrupted")
 
 func (cfg *Config) applyDefaults() {
 	if cfg.PoolSize == 0 {
@@ -114,6 +123,9 @@ func Generate(c *netlist.Circuit, fl []faults.Fault, cfg Config) (*Result, error
 	for inc.NumDetected() < len(fl) {
 		if cfg.MaxLen > 0 && t0.Len() >= cfg.MaxLen {
 			break
+		}
+		if cfg.Interrupt != nil && cfg.Interrupt() {
+			return nil, ErrInterrupted
 		}
 		rounds++
 		var best vectors.Sequence

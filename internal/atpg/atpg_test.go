@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -144,5 +145,48 @@ func TestCandidateGenerators(t *testing.T) {
 	}
 	if repeats == 0 {
 		t.Error("hold candidate has no held vectors")
+	}
+}
+
+// TestInterrupt checks that the hook is polled once per round, before
+// the round's work: when it fires on poll k+1, Generate returns
+// ErrInterrupted after exactly k rounds and simulates nothing after the
+// hook fired.
+func TestInterrupt(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	fl := faults.CollapsedUniverse(c)
+	for _, k := range []int{0, 1, 5} {
+		polls := 0
+		var firedAt int64
+		res, err := Generate(c, fl, Config{Seed: 1, MaxLen: 600, Interrupt: func() bool {
+			polls++
+			if polls > k {
+				firedAt = fsim.PatternsApplied()
+				return true
+			}
+			return false
+		}})
+		if !errors.Is(err, ErrInterrupted) || res != nil {
+			t.Fatalf("k=%d: Generate = %v, %v; want nil, ErrInterrupted", k, res, err)
+		}
+		if polls != k+1 {
+			t.Errorf("k=%d: hook polled %d times, want %d", k, polls, k+1)
+		}
+		if after := fsim.PatternsApplied(); after != firedAt {
+			t.Errorf("k=%d: %d patterns simulated after the hook fired", k, after-firedAt)
+		}
+	}
+	// A hook that never fires changes nothing.
+	want, err := Generate(c, fl, Config{Seed: 1, MaxLen: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Generate(c, fl, Config{Seed: 1, MaxLen: 600, Interrupt: func() bool { return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Seq.Equal(want.Seq) || got.Rounds != want.Rounds || got.Rounds <= 5 {
+		t.Errorf("silent hook: %d rounds, len %d; without hook %d rounds, len %d",
+			got.Rounds, got.Seq.Len(), want.Rounds, want.Seq.Len())
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 	"time"
 
 	"seqbist/internal/expand"
@@ -30,12 +32,20 @@ type CompactStats struct {
 //  3. reverse order of generation,
 //  4. decreasing number of faults detected during the previous pass.
 //
+// Ties in passes 1, 2 and 4 go to the lower TargetFault, then to the
+// earlier position in res.Set.
+//
 // The target fault set for every pass is F, the faults detected by T0
 // (res.DetectedByT0). Every expanded sequence is simulated from the
-// all-unknown state, so dropping a zero-contribution sequence never
-// changes what the others detect; the union of detections of the
-// surviving set is therefore still exactly F. The returned slice
-// preserves the generation order of the survivors.
+// all-unknown state, so whether a sequence detects a fault depends on
+// neither the other faults simulated with it nor the pass order, and
+// dropping a zero-contribution sequence never changes what the others
+// detect; the union of detections of the surviving set is therefore
+// still exactly F. Each (sequence, fault) pair is simulated at most once
+// across all passes: a sequence is simulated only against the live
+// faults no earlier pass tested it on, and its contribution in a pass is
+// read from the remembered detections. The returned slice preserves the
+// generation order of the survivors.
 func CompactSet(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) ([]Selected, CompactStats) {
 	return CompactSetPasses(c, fl, res, cfg, [4]bool{true, true, true, true})
 }
@@ -44,128 +54,139 @@ func CompactSet(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) 
 // disabled, for the pass-order ablation benchmarks.
 func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config, enabled [4]bool) ([]Selected, CompactStats) {
 	start := time.Now()
-	set := make([]Selected, len(res.Set))
-	copy(set, res.Set)
-	stats := CompactStats{Before: StatsOf(set)}
+	stats := CompactStats{Before: StatsOf(res.Set)}
+	targIdx := targets(fl, res)
 
-	// Targets: indices into fl of the faults T0 detects.
-	targIdx := make([]int, 0, res.NumTargets)
-	for i := range fl {
-		if res.DetectedByT0[i] {
-			targIdx = append(targIdx, i)
-		}
+	// set holds positions in res.Set, in generation order. Per position,
+	// tested and detected are bitsets over targIdx remembering which
+	// targets the sequence's expansion was simulated against and which of
+	// those it detects.
+	set := make([]int, len(res.Set))
+	for p := range set {
+		set[p] = p
 	}
+	words := (len(targIdx) + 63) / 64
+	memo := make([]uint64, 2*words*len(res.Set))
+	tested := func(p int) []uint64 { return memo[2*p*words : (2*p+1)*words] }
+	detected := func(p int) []uint64 { return memo[(2*p+1)*words : (2*p+2)*words] }
+	// detCount[p] = faults detected by sequence p in the most recent pass
+	// (pass 4 orders by it).
+	detCount := make([]int, len(res.Set))
+	// byKey breaks ties: lower TargetFault first, then earlier position.
+	byKey := func(p, q int) int {
+		return cmp.Or(cmp.Compare(res.Set[p].TargetFault, res.Set[q].TargetFault), cmp.Compare(p, q))
+	}
+	seqLen := func(p int) int { return res.Set[p].Seq.Len() }
 
-	// detCount[g] = faults detected by the sequence with generation key g
-	// in the most recent pass (pass 4 orders by it).
-	detCount := make(map[int]int, len(set))
-	genKey := func(s *Selected) int { return s.TargetFault } // unique per sequence
-
+	sub := make([]faults.Fault, 0, len(targIdx))
+	subK := make([]int, 0, len(targIdx))
+	covered := make([]uint64, words)
+	keep := make([]bool, len(res.Set))
 	for pass := 0; pass < 4; pass++ {
 		if !enabled[pass] {
 			continue
 		}
-		work := make([]Selected, len(set))
-		copy(work, set)
+		work := append([]int(nil), set...)
 		switch pass {
 		case 0: // increasing length
-			sort.SliceStable(work, func(i, j int) bool {
-				if work[i].Seq.Len() != work[j].Seq.Len() {
-					return work[i].Seq.Len() < work[j].Seq.Len()
-				}
-				return genKey(&work[i]) < genKey(&work[j])
-			})
+			slices.SortFunc(work, func(p, q int) int { return cmp.Or(cmp.Compare(seqLen(p), seqLen(q)), byKey(p, q)) })
 		case 1: // decreasing length
-			sort.SliceStable(work, func(i, j int) bool {
-				if work[i].Seq.Len() != work[j].Seq.Len() {
-					return work[i].Seq.Len() > work[j].Seq.Len()
-				}
-				return genKey(&work[i]) < genKey(&work[j])
-			})
+			slices.SortFunc(work, func(p, q int) int { return cmp.Or(cmp.Compare(seqLen(q), seqLen(p)), byKey(p, q)) })
 		case 2: // reverse order of generation
-			for i, j := 0, len(work)-1; i < j; i, j = i+1, j-1 {
-				work[i], work[j] = work[j], work[i]
-			}
+			slices.Reverse(work)
 		case 3: // decreasing previous-pass detection count
-			sort.SliceStable(work, func(i, j int) bool {
-				ci, cj := detCount[genKey(&work[i])], detCount[genKey(&work[j])]
-				if ci != cj {
-					return ci > cj
-				}
-				return genKey(&work[i]) < genKey(&work[j])
-			})
+			slices.SortFunc(work, func(p, q int) int { return cmp.Or(cmp.Compare(detCount[q], detCount[p]), byKey(p, q)) })
 		}
 
-		covered := make(map[int]bool, len(targIdx))
-		keep := make(map[int]bool, len(work))
-		for wi := range work {
-			s := &work[wi]
-			live := make([]faults.Fault, 0, len(targIdx))
-			liveIdx := make([]int, 0, len(targIdx))
-			for _, fi := range targIdx {
-				if !covered[fi] {
-					live = append(live, fl[fi])
-					liveIdx = append(liveIdx, fi)
+		clear(covered)
+		for _, p := range work {
+			tst, det := tested(p), detected(p)
+			sub, subK = sub[:0], subK[:0]
+			for k, fi := range targIdx {
+				if (covered[k/64]|tst[k/64])>>(k%64)&1 == 0 {
+					sub = append(sub, fl[fi])
+					subK = append(subK, k)
 				}
 			}
-			newly := 0
-			if len(live) > 0 {
-				r := fsim.New(c, live, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
-				for k := range live {
-					if r.Detected[k] {
-						covered[liveIdx[k]] = true
-						newly++
+			if len(sub) > 0 {
+				r := fsim.New(c, sub, cfg.simOptions()).Run(expand.Compose(res.Set[p].Seq, cfg.N, cfg.expandOps()))
+				for j, k := range subK {
+					tst[k/64] |= 1 << (k % 64)
+					if r.Detected[j] {
+						det[k/64] |= 1 << (k % 64)
 					}
 				}
 			}
-			detCount[genKey(s)] = newly
-			if newly > 0 {
-				keep[genKey(s)] = true
-			} else {
+			newly := 0
+			for w, d := range det {
+				d &^= covered[w]
+				newly += bits.OnesCount64(d)
+				covered[w] |= d
+			}
+			detCount[p] = newly
+			keep[p] = newly > 0
+			if newly == 0 {
 				stats.Dropped[pass]++
 			}
 		}
 
-		survivors := set[:0:0]
-		for _, s := range set {
-			if keep[genKey(&s)] {
-				survivors = append(survivors, s)
-			}
-		}
-		set = survivors
+		set = slices.DeleteFunc(set, func(p int) bool { return !keep[p] })
 	}
-	stats.After = StatsOf(set)
+	out := make([]Selected, len(set))
+	for i, p := range set {
+		out[i] = res.Set[p]
+	}
+	stats.After = StatsOf(out)
 	stats.Elapsed = time.Since(start)
-	return set, stats
+	return out, stats
 }
 
 // VerifyCoverage checks that the expansions of set together detect every
 // fault in F (res.DetectedByT0); it returns the indices of any faults
 // missed. A nil/empty result certifies the BIST scheme's coverage
 // guarantee.
+//
+// The check is independent of CompactSet's bookkeeping: every detection
+// comes from a fresh simulation. Since each expansion starts from the
+// all-unknown state, a sequence's detections do not depend on which
+// other faults it is simulated with, so each sequence is simulated only
+// against the targets no earlier sequence of set detected, and the
+// remaining sequences are skipped once every target is covered.
 func VerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
+	live := targets(fl, res)
+	sub := make([]faults.Fault, 0, len(live))
+	for _, s := range set {
+		if len(live) == 0 {
+			break
+		}
+		sub = sub[:0]
+		for _, fi := range live {
+			sub = append(sub, fl[fi])
+		}
+		r := fsim.New(c, sub, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		k := 0
+		for j, fi := range live {
+			if !r.Detected[j] {
+				live[k] = fi
+				k++
+			}
+		}
+		live = live[:k]
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	return live
+}
+
+// targets returns the indices into fl of the faults T0 detects, in
+// increasing order.
+func targets(fl []faults.Fault, res *Result) []int {
 	targIdx := make([]int, 0, res.NumTargets)
-	targFl := make([]faults.Fault, 0, res.NumTargets)
 	for i := range fl {
 		if res.DetectedByT0[i] {
 			targIdx = append(targIdx, i)
-			targFl = append(targFl, fl[i])
 		}
 	}
-	covered := make([]bool, len(targFl))
-	for _, s := range set {
-		r := fsim.New(c, targFl, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
-		for k := range targFl {
-			if r.Detected[k] {
-				covered[k] = true
-			}
-		}
-	}
-	var missed []int
-	for k, ok := range covered {
-		if !ok {
-			missed = append(missed, targIdx[k])
-		}
-	}
-	return missed
+	return targIdx
 }

@@ -20,6 +20,11 @@
 //   - CompactSet (§3.2): drop sequences that became redundant, using four
 //     simulation orders (increasing length, decreasing length, reverse
 //     generation order, decreasing previous-pass detection count).
+//     VerifyCoverage then re-certifies that the survivors detect every
+//     fault T0 detects. Every expansion is simulated from the all-unknown
+//     state, so whether a sequence detects a fault depends on neither
+//     the other faults simulated with it nor the order; both steps
+//     therefore simulate each (sequence, fault) pair at most once.
 //
 // The package is deterministic given Config.Seed.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -284,5 +285,344 @@ func TestCandidateParallelMatchesSerialAcrossConfigs(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.DisableOmission = true
 		checkAgainstOracle(t, in.c.Name+" no omission", in.c, fl, in.t0, cfg)
+	}
+}
+
+// oracleCompactSetPasses is §3.2 compaction without fault dropping
+// across passes: every pass simulates each sequence against all targets
+// still live in that pass, and the bookkeeping is keyed by TargetFault.
+// It is the reference CompactSetPasses must match on sets whose
+// TargetFaults are distinct.
+func oracleCompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config, enabled [4]bool) ([]Selected, CompactStats) {
+	set := make([]Selected, len(res.Set))
+	copy(set, res.Set)
+	stats := CompactStats{Before: StatsOf(set)}
+
+	targIdx := make([]int, 0, res.NumTargets)
+	for i := range fl {
+		if res.DetectedByT0[i] {
+			targIdx = append(targIdx, i)
+		}
+	}
+
+	detCount := make(map[int]int, len(set))
+	genKey := func(s *Selected) int { return s.TargetFault }
+
+	for pass := 0; pass < 4; pass++ {
+		if !enabled[pass] {
+			continue
+		}
+		work := make([]Selected, len(set))
+		copy(work, set)
+		switch pass {
+		case 0:
+			sort.SliceStable(work, func(i, j int) bool {
+				if work[i].Seq.Len() != work[j].Seq.Len() {
+					return work[i].Seq.Len() < work[j].Seq.Len()
+				}
+				return genKey(&work[i]) < genKey(&work[j])
+			})
+		case 1:
+			sort.SliceStable(work, func(i, j int) bool {
+				if work[i].Seq.Len() != work[j].Seq.Len() {
+					return work[i].Seq.Len() > work[j].Seq.Len()
+				}
+				return genKey(&work[i]) < genKey(&work[j])
+			})
+		case 2:
+			for i, j := 0, len(work)-1; i < j; i, j = i+1, j-1 {
+				work[i], work[j] = work[j], work[i]
+			}
+		case 3:
+			sort.SliceStable(work, func(i, j int) bool {
+				ci, cj := detCount[genKey(&work[i])], detCount[genKey(&work[j])]
+				if ci != cj {
+					return ci > cj
+				}
+				return genKey(&work[i]) < genKey(&work[j])
+			})
+		}
+
+		covered := make(map[int]bool, len(targIdx))
+		keep := make(map[int]bool, len(work))
+		for wi := range work {
+			s := &work[wi]
+			live := make([]faults.Fault, 0, len(targIdx))
+			liveIdx := make([]int, 0, len(targIdx))
+			for _, fi := range targIdx {
+				if !covered[fi] {
+					live = append(live, fl[fi])
+					liveIdx = append(liveIdx, fi)
+				}
+			}
+			newly := 0
+			if len(live) > 0 {
+				r := fsim.New(c, live, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+				for k := range live {
+					if r.Detected[k] {
+						covered[liveIdx[k]] = true
+						newly++
+					}
+				}
+			}
+			detCount[genKey(s)] = newly
+			if newly > 0 {
+				keep[genKey(s)] = true
+			} else {
+				stats.Dropped[pass]++
+			}
+		}
+
+		survivors := set[:0:0]
+		for _, s := range set {
+			if keep[genKey(&s)] {
+				survivors = append(survivors, s)
+			}
+		}
+		set = survivors
+	}
+	stats.After = StatsOf(set)
+	return set, stats
+}
+
+// oracleVerifyCoverage simulates every sequence of set against all of F.
+func oracleVerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
+	targIdx := make([]int, 0, res.NumTargets)
+	targFl := make([]faults.Fault, 0, res.NumTargets)
+	for i := range fl {
+		if res.DetectedByT0[i] {
+			targIdx = append(targIdx, i)
+			targFl = append(targFl, fl[i])
+		}
+	}
+	covered := make([]bool, len(targFl))
+	for _, s := range set {
+		r := fsim.New(c, targFl, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		for k := range targFl {
+			if r.Detected[k] {
+				covered[k] = true
+			}
+		}
+	}
+	var missed []int
+	for k, ok := range covered {
+		if !ok {
+			missed = append(missed, targIdx[k])
+		}
+	}
+	return missed
+}
+
+// gatesOf returns the package-global gate evaluations f performs.
+func gatesOf(f func()) int64 {
+	before := fsim.GatesEvaluated()
+	f()
+	return fsim.GatesEvaluated() - before
+}
+
+func sameSelected(a, b []Selected) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Seq.Equal(b[i].Seq) || a[i].TargetFault != b[i].TargetFault {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCompactAgainstOracle compacts res with the given passes through
+// CompactSetPasses and the oracle and fails on any difference in the
+// survivors (sequence, target, order) or the CompactStats counts, or if
+// the memoised compaction evaluates more gates than the oracle.
+func checkCompactAgainstOracle(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config, enabled [4]bool) []Selected {
+	t.Helper()
+	var got, want []Selected
+	var gs, ws CompactStats
+	gotGates := gatesOf(func() { got, gs = CompactSetPasses(c, fl, res, cfg, enabled) })
+	wantGates := gatesOf(func() { want, ws = oracleCompactSetPasses(c, fl, res, cfg, enabled) })
+	if !sameSelected(got, want) {
+		t.Errorf("%s passes %v: %d survivors differ from the oracle's %d", name, enabled, len(got), len(want))
+	}
+	if gs.Dropped != ws.Dropped || gs.Before != ws.Before || gs.After != ws.After {
+		t.Errorf("%s passes %v: stats dropped %v %+v -> %+v, oracle %v %+v -> %+v",
+			name, enabled, gs.Dropped, gs.Before, gs.After, ws.Dropped, ws.Before, ws.After)
+	}
+	if gotGates > wantGates {
+		t.Errorf("%s passes %v: compaction evaluated %d gates, oracle %d", name, enabled, gotGates, wantGates)
+	}
+	return got
+}
+
+// checkVerifyAgainstOracle compares VerifyCoverage with the oracle on
+// set: identical missed indices, and no more gates evaluated.
+func checkVerifyAgainstOracle(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
+	t.Helper()
+	var got, want []int
+	gotGates := gatesOf(func() { got = VerifyCoverage(c, fl, res, set, cfg) })
+	wantGates := gatesOf(func() { want = oracleVerifyCoverage(c, fl, res, set, cfg) })
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: VerifyCoverage missed %v, oracle %v", name, got, want)
+	}
+	if gotGates > wantGates {
+		t.Errorf("%s: verification evaluated %d gates, oracle %d", name, gotGates, wantGates)
+	}
+	return got
+}
+
+// checkPostSelection runs both post-selection steps against their
+// oracles: compaction with every pass, verification of the full set, of
+// the compacted set, and of the compacted set with each survivor
+// removed. The survivor the last pass kept last detected a fault no
+// other survivor detects, so at least one removal must miss faults.
+func checkPostSelection(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) {
+	t.Helper()
+	set := checkCompactAgainstOracle(t, name, c, fl, res, cfg, [4]bool{true, true, true, true})
+	if missed := checkVerifyAgainstOracle(t, name+" full set", c, fl, res, res.Set, cfg); len(missed) != 0 {
+		t.Errorf("%s: full set misses %v", name, missed)
+	}
+	if missed := checkVerifyAgainstOracle(t, name+" compacted", c, fl, res, set, cfg); len(missed) != 0 {
+		t.Errorf("%s: compacted set misses %v", name, missed)
+	}
+	lost := false
+	for drop := range set {
+		rest := slices.Delete(slices.Clone(set), drop, drop+1)
+		if missed := checkVerifyAgainstOracle(t, fmt.Sprintf("%s without survivor %d", name, drop), c, fl, res, rest, cfg); len(missed) != 0 {
+			lost = true
+		}
+	}
+	if len(set) > 0 && !lost {
+		t.Errorf("%s: no single survivor removal missed a fault", name)
+	}
+}
+
+// selectFor runs Procedure 1 with a small omission budget (compaction
+// and verification do not depend on how short the sequences are).
+func selectFor(t *testing.T, c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Config) *Result {
+	t.Helper()
+	cfg.MaxOmissionTrials = 20
+	res, err := Select(c, fl, t0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCompactVerifyMatchOracleOnRegistry compares compaction and
+// verification with their oracles on every registry circuit up to
+// s1423, at n = 1, 2, 4.
+func TestCompactVerifyMatchOracleOnRegistry(t *testing.T) {
+	names := []string{"s27", "s298", "s344", "s382", "s400", "s526", "s641", "s820", "s1196", "s1423"}
+	if testing.Short() {
+		names = names[:3]
+	}
+	for _, name := range names {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		t0 := vectors.RandomSequence(xrand.New(3), c.NumPIs(), 90)
+		if name == "s27" {
+			t0 = s27T0()
+		}
+		for _, n := range []int{1, 2, 4} {
+			cfg := DefaultConfig(n)
+			checkPostSelection(t, fmt.Sprintf("%s n=%d", name, n), c, fl, selectFor(t, c, fl, t0, cfg), cfg)
+		}
+	}
+}
+
+// TestCompactMatchesOracleAcrossPassesAndOps covers all 16 pass-enable
+// subsets on s27, s298 and s526, and two ExpandOps subsets.
+func TestCompactMatchesOracleAcrossPassesAndOps(t *testing.T) {
+	for _, name := range []string{"s27", "s298", "s526"} {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		t0 := vectors.RandomSequence(xrand.New(4), c.NumPIs(), 80)
+		if name == "s27" {
+			t0 = s27T0()
+		}
+		cfg := DefaultConfig(2)
+		res := selectFor(t, c, fl, t0, cfg)
+		for mask := 0; mask < 16; mask++ {
+			var enabled [4]bool
+			for p := range enabled {
+				enabled[p] = mask&(1<<p) != 0
+			}
+			set := checkCompactAgainstOracle(t, name, c, fl, res, cfg, enabled)
+			checkVerifyAgainstOracle(t, fmt.Sprintf("%s passes %v", name, enabled), c, fl, res, set, cfg)
+		}
+		for _, ops := range []expand.Ops{expand.OpRepeat, expand.OpRepeat | expand.OpComplement} {
+			cfg := DefaultConfig(2)
+			cfg.ExpandOps = ops
+			checkPostSelection(t, fmt.Sprintf("%s ops %04b", name, ops), c, fl, selectFor(t, c, fl, t0, cfg), cfg)
+		}
+	}
+}
+
+// TestCompactMatchesOracleOnInflatedSet compacts the set of
+// TestCompactDropsRedundantSequence (a copy of the last sequence placed
+// first under a distinct key) through both paths.
+func TestCompactMatchesOracleOnInflatedSet(t *testing.T) {
+	c, fl, t0 := s27Setup(t)
+	cfg := DefaultConfig(1)
+	res := selectFor(t, c, fl, t0, cfg)
+	inflated := *res
+	dup := res.Set[len(res.Set)-1]
+	dup.TargetFault += 1000
+	inflated.Set = append([]Selected{dup}, res.Set...)
+	checkPostSelection(t, "inflated", c, fl, &inflated, cfg)
+}
+
+// TestVerifyMatchesOracleOnEmptyInputs covers an empty set (every target
+// missed) and an empty F (nothing to miss).
+func TestVerifyMatchesOracleOnEmptyInputs(t *testing.T) {
+	c, fl, t0 := s27Setup(t)
+	cfg := DefaultConfig(1)
+	res := selectFor(t, c, fl, t0, cfg)
+	if missed := checkVerifyAgainstOracle(t, "empty set", c, fl, res, nil, cfg); len(missed) != res.NumTargets {
+		t.Errorf("empty set misses %d faults, want all %d", len(missed), res.NumTargets)
+	}
+	noF := &Result{DetectedByT0: make([]bool, len(fl)), Set: res.Set}
+	if missed := checkVerifyAgainstOracle(t, "empty F", c, fl, noF, res.Set, cfg); missed != nil {
+		t.Errorf("empty F misses %v", missed)
+	}
+	checkCompactAgainstOracle(t, "empty F", c, fl, noF, cfg, [4]bool{true, true, true, true})
+}
+
+// TestCompactSharedTargetFault pins position-keyed bookkeeping: two
+// different sequences built for one TargetFault compact exactly as the
+// oracle compacts them under distinct keys in the same order.
+func TestCompactSharedTargetFault(t *testing.T) {
+	c, fl, t0 := s27Setup(t)
+	cfg := DefaultConfig(1)
+	res := selectFor(t, c, fl, t0, cfg)
+	if len(res.Set) < 2 {
+		t.Fatalf("need two sequences, got %d", len(res.Set))
+	}
+	shared := *res
+	shared.Set = slices.Clone(res.Set)
+	shared.Set[1].TargetFault = shared.Set[0].TargetFault
+	if shared.Set[0].Seq.Equal(shared.Set[1].Seq) {
+		t.Fatal("the two sequences must differ")
+	}
+	// Distinct keys in (TargetFault, position) order for the oracle.
+	keyed := shared
+	keyed.Set = slices.Clone(shared.Set)
+	for p := range keyed.Set {
+		keyed.Set[p].TargetFault = keyed.Set[p].TargetFault*len(keyed.Set) + p
+	}
+	got, gs := CompactSet(c, fl, &shared, cfg)
+	want, ws := oracleCompactSetPasses(c, fl, &keyed, cfg, [4]bool{true, true, true, true})
+	if len(got) != len(want) || gs.Dropped != ws.Dropped {
+		t.Fatalf("%d survivors (dropped %v), oracle %d (dropped %v)", len(got), gs.Dropped, len(want), ws.Dropped)
+	}
+	for i := range got {
+		if !got[i].Seq.Equal(want[i].Seq) || got[i].TargetFault != want[i].TargetFault/len(keyed.Set) {
+			t.Fatalf("survivor %d = %s (target %d), oracle %s (target %d)",
+				i, got[i].Seq, got[i].TargetFault, want[i].Seq, want[i].TargetFault/len(keyed.Set))
+		}
+	}
+	if missed := VerifyCoverage(c, fl, &shared, got, cfg); missed != nil {
+		t.Errorf("missed %v", missed)
 	}
 }

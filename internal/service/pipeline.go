@@ -105,21 +105,26 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 // synthesize runs the full pipeline for one job: T0 (supplied or ATPG +
 // compaction), Procedure 1 selection, §3.2 compaction, coverage
 // verification, and the BIST session that produces golden signatures and
-// the hardware cost report. ctx cancellation is polled between stages and
-// inside Procedure 1 via core.Config.Interrupt. When obs is non-nil,
-// per-stage wall times are accumulated into it for GET /metrics.
+// the hardware cost report. ctx cancellation is polled between stages,
+// once per ATPG round via atpg.Config.Interrupt, and inside Procedure 1
+// via core.Config.Interrupt. When obs is non-nil, per-stage wall times
+// are accumulated into it for GET /metrics.
 func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cfg GenConfig, obs *Metrics) (*Result, error) {
 	start := time.Now()
 	fl := faults.CollapsedUniverse(c)
 
 	rawT0Len := t0.Len()
 	if t0 == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		atpgStart := time.Now()
-		gen, err := atpg.Generate(c, fl, atpg.Config{Seed: cfg.Seed, MaxLen: cfg.ATPGMaxLen})
+		gen, err := atpg.Generate(c, fl, atpg.Config{
+			Seed:      cfg.Seed,
+			MaxLen:    cfg.ATPGMaxLen,
+			Interrupt: func() bool { return ctx.Err() != nil },
+		})
 		if err != nil {
+			if errors.Is(err, atpg.ErrInterrupted) {
+				return nil, ctx.Err()
+			}
 			return nil, fmt.Errorf("atpg: %v", err)
 		}
 		rawT0Len = gen.Seq.Len()

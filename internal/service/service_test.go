@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"seqbist/internal/fsim"
 	"seqbist/internal/iscas"
 )
 
@@ -213,6 +214,45 @@ func TestCancellation(t *testing.T) {
 	}
 	if st := waitTerminal(t, svc, ok.ID, 60*time.Second); st.State != StateDone {
 		t.Fatalf("post-cancel job: state %s, error %q", st.State, st.Error)
+	}
+}
+
+// TestCancellationDuringATPG cancels a running job that has no supplied
+// T0 once ATPG has started simulating (generating the s1423 T0 takes
+// seconds). The job's status flips to canceled at once; the run itself
+// stops at ATPG's next per-round poll of the job's context, which frees
+// the only worker, so a small job submitted after the cancel must finish
+// within a second of it.
+func TestCancellationDuringATPG(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 8, SimParallelism: 1})
+	defer svc.Close()
+	before := fsim.PatternsApplied()
+	job, err := svc.Submit(JobSpec{Circuit: "s1423", Config: GenConfig{N: 4, Seed: 1, Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing else simulates in this process, so the first applied
+	// pattern is the job's ATPG at work.
+	deadline := time.Now().Add(30 * time.Second)
+	for fsim.PatternsApplied() == before {
+		if st, err := svc.Status(job.ID); err != nil || st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("ATPG never started (state %s, err %v)", st.State, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	canceled := time.Now()
+	if st, err := svc.Cancel(job.ID); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel: state %s, err %v", st.State, err)
+	}
+	next, err := svc.Submit(fastSpec("s27", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, svc, next.ID, 60*time.Second); st.State != StateDone {
+		t.Fatalf("job after the cancel: state %s, error %q", st.State, st.Error)
+	}
+	if took := time.Since(canceled); took > time.Second {
+		t.Errorf("the canceled ATPG run held the worker for %v, want under 1s", took)
 	}
 }
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — run the fault-simulation micro-benchmarks (the
-# BenchmarkTable-class suite the active-region engine is measured by) and
-# the Procedure 2 leg (BenchmarkProcedure2: core.FindSubsequence for every
-# target of the seed-1 s1423 T0) with -benchmem, and optionally emit the
+# BenchmarkTable-class suite the active-region engine is measured by), the
+# Procedure 2 leg (BenchmarkProcedure2: core.FindSubsequence for every
+# target of the seed-1 s1423 T0) and the post-selection leg
+# (BenchmarkCompactVerify: §3.2 compaction plus coverage certification of
+# the seed-1 s1423 greedy result) with -benchmem, and optionally emit the
 # parsed numbers as JSON.
 #
 # Usage:
@@ -15,24 +17,23 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_13.json via scripts/bench_check.sh.
+# the counts against BENCH_14.json via scripts/bench_check.sh.
 #
-# BENCH_13.json in the repository root records the single-width
-# fault-simulation round (before/after timings of the remaining fault
-# simulation and Procedure 2 legs) plus the expected detection counts of
-# every leg; BENCH_12.json, BENCH_9.json and BENCH_3.json hold the
-# earlier rounds' records.
+# BENCH_14.json in the repository root records the post-selection fault
+# dropping round (before/after timings of the CompactVerify leg) plus the
+# expected detection counts of every leg; BENCH_13.json, BENCH_12.json,
+# BENCH_9.json and BENCH_3.json hold the earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2'
+BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify'
             COUNT=1x
             ;;
         -benchtime)
