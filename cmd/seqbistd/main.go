@@ -9,10 +9,12 @@
 //
 //	seqbistd -addr :8080 -workers 8
 //
-// Several daemons become one cluster by sharing a -data-dir under
-// distinct -node-id values: they cooperatively drain a single queue,
-// and a SIGKILLed member's in-flight jobs are stolen by survivors once
-// its -lease-ttl lapses (see DESIGN.md §10 and scripts/cluster_e2e.sh):
+// A daemon is a cluster of one: its queue is the queued records in its
+// store, drained by a claim loop. Several daemons become one cluster by
+// sharing a -data-dir under distinct -node-id values: they cooperatively
+// drain a single queue, and a SIGKILLed member's in-flight jobs are
+// stolen by survivors once its -lease-ttl lapses (see DESIGN.md §10 and
+// scripts/cluster_e2e.sh):
 //
 //	seqbistd -addr :8080 -data-dir ./cluster -node-id n1 &
 //	seqbistd -addr :8081 -data-dir ./cluster -node-id n2 &
@@ -62,7 +64,7 @@ func main() {
 	compactBytes := flag.Int64("compact-bytes", 0, "with -data-dir, log size that triggers an online compaction round (0 = default 8 MiB, negative disables automatic compaction)")
 	staleAfter := flag.Duration("stale-after", 0, "with -data-dir, how long a cluster member may go silent before compaction stops waiting for it and GC reclaims past its watermark (0 = default 30s)")
 	nodeID := flag.String("node-id", "", "cluster identity: daemons started with distinct -node-id values on one shared -data-dir cooperatively drain a single queue, stealing a killed member's leases (requires -data-dir)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "with -node-id, how long a claimed job stays fenced to its claimant without renewal")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "how long a claimed job stays fenced to its claimant without renewal (the claim loop polls every lease-ttl/20, clamped to [100ms, 1s])")
 	rate := flag.Float64("rate", 0, "per-client submissions/second accepted on POST /v1/jobs and /v1/sweeps before answering 429 (0 = unlimited; a tenant's configured rate overrides this for its bucket)")
 	rateBurst := flag.Int("rate-burst", 0, "with -rate, token-bucket burst depth (0 = max(1, ceil(rate)))")
 	tenantsFile := flag.String("tenants", "", "multi-tenant config file: {\"tenants\":[{\"name\",\"key\",\"weight\",\"priority\",\"max_queued_jobs\",\"max_active_sweeps\",\"rate\",\"rate_burst\"}]}; submissions authenticate with 'Authorization: Bearer <key>' and are scheduled by weighted fair share (empty = single-tenant mode, everything anonymous)")

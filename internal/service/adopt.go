@@ -166,7 +166,7 @@ func (s *Service) adoptSweep(rec store.SweepRecord) {
 	// fresher state and re-attach hooks, and so observeRemote (which
 	// only touches locally-known jobs) drives those hooks as peers
 	// finish the remaining work.
-	rc := &recovery{s: s, results: make(map[string]*Result), execByKey: make(map[string]*execution)}
+	rc := &recovery{s: s, results: make(map[string]*Result)}
 	memberJob := make(map[int]*job)
 	for i := range st.Jobs {
 		jr := &st.Jobs[i]

@@ -14,10 +14,11 @@ import (
 	"seqbist/internal/vectors"
 )
 
-// This file is the cluster side of the service: the claim loop that
-// lets any number of daemons sharing one store cooperatively drain one
-// queue. Dispatch in cluster mode is pull-based — a submission becomes
-// a durable queued record (see submitJob), and every member's loop
+// This file is the service's one dispatch path: the claim loop that
+// lets any number of daemons sharing one store — one daemon included,
+// a cluster of one — cooperatively drain one queue. Dispatch is
+// pull-based: a submission becomes a durable queued record (see
+// submitJob), and every member's loop
 //
 //  1. heartbeats and pulls the *incremental* record delta since its
 //     previous tick (store.Changes), folding it into a local mirror so
@@ -40,7 +41,7 @@ import (
 // members agree on each lease's holder. See DESIGN.md §10 and §12.
 
 // clusterLoop runs until Close; ticks are paced by PollInterval and
-// nudged early by local submissions.
+// nudged early by local submissions and freed workers.
 func (s *Service) clusterLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.PollInterval)
@@ -57,11 +58,8 @@ func (s *Service) clusterLoop() {
 }
 
 // nudgeCluster asks the claim loop to tick ahead of schedule (local
-// submissions should not wait out a poll interval).
+// submissions and freed workers should not wait out a poll interval).
 func (s *Service) nudgeCluster() {
-	if !s.clustered() {
-		return
-	}
 	select {
 	case s.clusterWake <- struct{}{}:
 	default:
@@ -87,6 +85,9 @@ func (s *Service) clusterTick(now time.Time) {
 		s.lastHeartbeat = now
 	}
 	s.renewLeases(now)
+	if s.degraded.Load() {
+		s.runUnclaimable(now)
+	}
 	delta, cursor, err := s.store.Changes(s.changeCursor)
 	if err != nil {
 		s.noteStoreErr(err)
@@ -227,7 +228,7 @@ func (s *Service) renewLeases(now time.Time) {
 // a non-terminal state). A lease already lost to a thief is not
 // released — the thief owns it now. Callers hold s.mu.
 func (s *Service) releaseLeaseLocked(ex *execution) {
-	if !s.clustered() || ex.leaseID == "" {
+	if ex.leaseID == "" {
 		return
 	}
 	if s.leases[ex.leaseID] == ex {
@@ -420,7 +421,7 @@ func (s *Service) claimWork(jobs []store.JobRecord, claims map[string]store.Clai
 		}
 		if ex := s.leases[rec.ID]; ex != nil && st == StateCanceled {
 			// The submitter canceled a job we are executing. Mirror the
-			// single-daemon Cancel contract: only the canceled job
+			// local Cancel contract: only the canceled job
 			// detaches; the run itself is interrupted (Procedure 1
 			// polls the hook between trials) only when no coalesced
 			// observer remains attached.
@@ -462,6 +463,9 @@ func (s *Service) claimWork(jobs []store.JobRecord, claims map[string]store.Clai
 		}
 		s.metrics.claimsWon.Add(1)
 		s.metrics.observeTenantClaimWon(rec.Tenant)
+		if st == StateQueued {
+			s.drr.charge(tenantName(rec.Tenant), s.schedClass)
+		}
 		if stolen {
 			s.metrics.jobsStolen.Add(1)
 			s.metrics.leasesExpired.Add(1)
@@ -561,10 +565,23 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 	if j.c == nil {
 		j.c, j.t0, j.cfg = c, t0, cfg
 	}
+	held := s.launchLocked(j, rec.ID, now)
+	s.mu.Unlock()
+	if !held {
+		release()
+	}
+}
+
+// launchLocked puts j in flight locally: attached to an identical run
+// already in flight (in-flight coalescing — that run's terminal commit
+// covers j's record), or as a new execution handed to the workers that
+// holds the lease leaseID ("" for a leaseless run). It reports whether
+// a new execution took the lease; false means the caller still owns it
+// (j coalesced, or the hand-off was full and j stays queued for a less
+// loaded member or a later tick). Callers hold s.mu; j carries its
+// resolved inputs.
+func (s *Service) launchLocked(j *job, leaseID string, now time.Time) bool {
 	if other, ok := s.inflight[j.key]; ok {
-		// An identical run is already in flight locally under another
-		// job: attach (in-flight coalescing) and give the lease back —
-		// the run's terminal commit covers j's record.
 		j.exec = other
 		j.state = StateQueued
 		if other.started {
@@ -573,30 +590,48 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		}
 		other.jobs = append(other.jobs, j)
 		s.metrics.jobsCoalesced.Add(1)
-		s.mu.Unlock()
-		release()
-		return
+		return false
 	}
 	ex := &execution{key: j.key, c: j.c, t0: j.t0, cfg: j.cfg,
-		leaseID: rec.ID, leaseExpiry: now.Add(s.cfg.LeaseTTL)}
+		leaseID: leaseID, leaseExpiry: now.Add(s.cfg.LeaseTTL)}
 	ex.ctx, ex.cancel = context.WithCancel(s.rootCtx)
 	ex.jobs = []*job{j}
-	j.exec = ex
-	j.state = StateQueued
 	select {
 	case s.queue <- ex:
 	default:
-		// No local room after all: back out and free the lease so a
-		// less-loaded member takes it.
-		j.exec = nil
 		ex.cancel()
-		s.mu.Unlock()
-		release()
-		return
+		return false
 	}
+	j.exec = ex
+	j.state = StateQueued
 	s.inflight[j.key] = ex
-	s.leases[rec.ID] = ex
-	s.mu.Unlock()
+	if leaseID != "" {
+		s.leases[leaseID] = ex
+	}
+	return true
+}
+
+// runUnclaimable keeps a degraded node executing the work it accepted
+// but no claim can reach: its own queued jobs whose record never landed
+// in the store (the write that degraded the node parked it). No peer
+// can see such a job, so it runs without a lease, and its terminal
+// record parks like every other write until the probe replays them.
+// Called from the cluster goroutine while degraded.
+func (s *Service) runUnclaimable(now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if j.state != StateQueued || j.exec != nil || j.specPersisted || j.c == nil {
+			continue
+		}
+		if s.closed {
+			return
+		}
+		if !s.launchLocked(j, "", now) && j.exec == nil {
+			return // the hand-off is full: next tick
+		}
+	}
 }
 
 // mirrorJob builds the local object for a peer-submitted record this

@@ -14,18 +14,18 @@ import (
 //	healthy   every durable transition is written through to the store
 //	          as it commits (the persist* helpers in persist.go).
 //	degraded  a store write failed. The node keeps executing what it
-//	          already accepted — in-memory state stays authoritative and
+//	          already claimed — in-memory state stays authoritative and
 //	          finished results are *parked*: held as replayable write
 //	          closures — but it stops taking on new obligations: Submit
 //	          and SubmitSweep reject with ErrDegraded (HTTP 503 +
-//	          Retry-After), the claim loop stops leasing cluster work,
+//	          Retry-After), the claim loop stops leasing queued records,
 //	          and the node's heartbeat carries Degraded so peers steal
 //	          its leases proactively (see store.applyClaim).
 //
-// A background probe (probeLoop, started whenever a store is
-// configured) replays the parked records once per ProbeInterval; the
-// first fully-drained replay — proof the disk accepts writes again —
-// flips the node back to healthy, and live writes resume.
+// A background probe (probeLoop) replays the parked records once per
+// ProbeInterval; the first fully-drained replay — proof the disk
+// accepts writes again — flips the node back to healthy, and live
+// writes resume.
 //
 // While degraded, persist calls do not even attempt the store: they
 // park. That is what keeps replay ordered — a live write that happened
@@ -143,13 +143,13 @@ func (s *Service) degradedErr() error {
 
 // Readiness reports whether the node should receive new work, with a
 // human-readable reason when it should not: it is shutting down, its
-// persistence is degraded, its queue has no room, or (cluster mode) its
-// claim loop has stopped ticking. GET /readyz maps false to 503 +
+// persistence is degraded, its backlog is at QueueDepth, or its claim
+// loop has stopped ticking. GET /readyz maps false to 503 +
 // Retry-After, so a load balancer drains the node while peers — told
 // the same thing through the Degraded heartbeat — take over its work.
 func (s *Service) Readiness() (bool, string) {
 	s.mu.Lock()
-	closed := s.closed
+	closed, full := s.closed, s.backlogLocked() >= s.cfg.QueueDepth
 	s.mu.Unlock()
 	if closed {
 		return false, "shutting down"
@@ -157,21 +157,19 @@ func (s *Service) Readiness() (bool, string) {
 	if s.degraded.Load() {
 		return false, s.degradedErr().Error()
 	}
-	if len(s.queue) >= cap(s.queue) {
+	if full {
 		return false, "queue full"
 	}
-	if s.clustered() {
-		last := time.Unix(0, s.lastClusterTick.Load())
-		if stale := time.Since(last); stale > 3*s.cfg.PollInterval {
-			return false, fmt.Sprintf("claim loop stalled: last tick %s ago", stale.Round(time.Millisecond))
-		}
+	last := time.Unix(0, s.lastClusterTick.Load())
+	if stale := time.Since(last); stale > 3*s.cfg.PollInterval {
+		return false, fmt.Sprintf("claim loop stalled: last tick %s ago", stale.Round(time.Millisecond))
 	}
 	return true, "ok"
 }
 
-// probeLoop paces recovery probes. It runs for the service's lifetime
-// whenever a store is configured — an idle ticker while healthy — so
-// degradation never has to race Close over goroutine startup.
+// probeLoop paces recovery probes. It runs for the service's lifetime —
+// an idle ticker while healthy — so degradation never has to race Close
+// over goroutine startup.
 func (s *Service) probeLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
@@ -232,17 +230,12 @@ func (s *Service) probeOnce() {
 }
 
 // verifyRecoveredLocked proves the disk writable when the degradation
-// left nothing parked (heartbeat or lease failures only): a cluster
-// node re-appends its own heartbeat — still flagged Degraded, since the
-// flip has not happened yet — and success is the evidence. Non-cluster
-// nodes park every failure they degrade on, so an empty buffer already
-// is the evidence. Callers hold healthMu; the store call is safe under
-// it (healthMu is leaf-ordered after s.mu and never held by store
-// callbacks).
+// left nothing parked (heartbeat or lease failures only): the node
+// re-appends its own heartbeat — still flagged Degraded, since the flip
+// has not happened yet — and success is the evidence. Callers hold
+// healthMu; the store call is safe under it (healthMu is leaf-ordered
+// after s.mu and never held by store callbacks).
 func (s *Service) verifyRecoveredLocked() bool {
-	if s.cfg.NodeID == "" {
-		return true
-	}
 	return s.store.Heartbeat(store.NodeRecord{
 		ID: s.cfg.NodeID, Started: s.started, Time: time.Now(), Degraded: true,
 	}) == nil

@@ -181,9 +181,9 @@ type execution struct {
 	jobs    []*job
 	started bool
 
-	// Cluster-mode lease bookkeeping, guarded by the Service mutex:
-	// leaseID is the claimed job record this run holds the execution
-	// lease for (empty outside cluster mode), leaseExpiry is when that
+	// Lease bookkeeping, guarded by the Service mutex: leaseID is the
+	// claimed job record this run holds the execution lease for (empty
+	// once released), leaseExpiry is when that
 	// lease lapses unless renewed, and leaseLost flips when a renewal
 	// discovers another daemon stole the job — the run is interrupted
 	// and its jobs handed back to the poll loop.
@@ -215,9 +215,10 @@ type job struct {
 	c       *netlist.Circuit
 	t0      vectors.Sequence
 
-	// node is the daemon that accepted the submission (empty outside
-	// cluster mode). A job whose node differs from the local NodeID is
-	// a mirror: a peer's record this daemon claimed for execution.
+	// node is the daemon that accepted the submission (empty for the
+	// store's exclusive writer). A job whose node differs from the
+	// local NodeID is a mirror: a peer's record this daemon claimed for
+	// execution.
 	node string
 	// tenant is the tenant the submission resolved to (never empty:
 	// unauthenticated work is AnonymousTenant). Immutable after creation;

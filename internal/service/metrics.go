@@ -35,7 +35,7 @@ type Metrics struct {
 	orphansRequeued atomic.Int64
 	storeErrors     atomic.Int64
 
-	// Cluster counters, all zero outside cluster mode. claimsWon /
+	// Claim-loop counters. claimsWon /
 	// claimsLost tally this daemon's lease arbitration outcomes;
 	// jobsStolen counts claims won on work whose previous holder's
 	// lease had expired (a killed or stalled peer); leasesExpired
@@ -92,9 +92,7 @@ type Metrics struct {
 // tenantCounters returns the (lazily created) counter cell for one
 // tenant, normalizing the legacy empty name. Callers hold m.tenantMu.
 func (m *Metrics) tenantCounters(name string) *TenantCounters {
-	if name == "" {
-		name = AnonymousTenant
-	}
+	name = tenantName(name)
 	if m.perTenant == nil {
 		m.perTenant = make(map[string]*TenantCounters)
 	}
@@ -273,11 +271,11 @@ type MetricsSnapshot struct {
 	Strategy StrategySnapshot `json:"strategy"`
 	// Tenant reports per-tenant admission and fair-share accounting.
 	Tenant TenantSnapshot `json:"tenant"`
-	// Store reports the persistence layer; omitted when the daemon runs
-	// without a data directory.
+	// Store reports the persistence layer (a store.Memory when the
+	// daemon runs without a data directory).
 	Store *StoreSnapshot `json:"store,omitempty"`
-	// Cluster reports multi-daemon coordination; omitted outside
-	// cluster mode (no -node-id).
+	// Cluster reports the claim loop's coordination over the store; a
+	// daemon without -node-id is a cluster of one (node_id "").
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 	// HTTP reports the API edge (currently the per-client rate limiter).
 	HTTP struct {
@@ -471,9 +469,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 	}
 	m.tenantMu.Unlock()
 	tenantCell := func(name string) *TenantCounters {
-		if name == "" {
-			name = AnonymousTenant
-		}
+		name = tenantName(name)
 		tc := perTenant[name]
 		if tc == nil {
 			tc = &TenantCounters{}
@@ -481,58 +477,54 @@ func (s *Service) Metrics() MetricsSnapshot {
 		}
 		return tc
 	}
-	if s.store != nil {
-		st := s.store.Stats()
-		ss := &StoreSnapshot{
-			RecordsWritten:   st.RecordsWritten,
-			BytesOnDisk:      st.BytesOnDisk,
-			Compactions:      st.Compactions,
-			RecordsReplayed:  st.RecordsReplayed,
-			TruncatedTail:    st.TruncatedTail,
-			RecordsRefreshed: st.RecordsRefreshed,
-			SkippedFrames:    st.SkippedFrames,
-			JobsRecovered:    m.jobsRecovered.Load(),
-			SweepsRecovered:  m.sweepsRecovered.Load(),
-			OrphansRequeued:  m.orphansRequeued.Load(),
-			WriteErrors:      m.storeErrors.Load(),
-			Degraded:         s.degraded.Load(),
-			ParkedRecords:    int64(s.parkedCount()),
-			Epoch:            st.Epoch,
-			SegmentsLive:     st.SegmentsLive,
-			SegmentsDeleted:  st.SegmentsDeleted,
-			ManifestBytes:    st.ManifestBytes,
-		}
-		if !st.LastCompaction.IsZero() {
-			ss.LastCompaction = st.LastCompaction.UTC().Format(time.RFC3339)
-		}
-		snap.Store = ss
+	st := s.store.Stats()
+	ss := &StoreSnapshot{
+		RecordsWritten:   st.RecordsWritten,
+		BytesOnDisk:      st.BytesOnDisk,
+		Compactions:      st.Compactions,
+		RecordsReplayed:  st.RecordsReplayed,
+		TruncatedTail:    st.TruncatedTail,
+		RecordsRefreshed: st.RecordsRefreshed,
+		SkippedFrames:    st.SkippedFrames,
+		JobsRecovered:    m.jobsRecovered.Load(),
+		SweepsRecovered:  m.sweepsRecovered.Load(),
+		OrphansRequeued:  m.orphansRequeued.Load(),
+		WriteErrors:      m.storeErrors.Load(),
+		Degraded:         s.degraded.Load(),
+		ParkedRecords:    int64(s.parkedCount()),
+		Epoch:            st.Epoch,
+		SegmentsLive:     st.SegmentsLive,
+		SegmentsDeleted:  st.SegmentsDeleted,
+		ManifestBytes:    st.ManifestBytes,
 	}
-	if s.clustered() {
-		cs := &ClusterSnapshot{
-			NodeID:        s.cfg.NodeID,
-			ClaimsWon:     m.claimsWon.Load(),
-			ClaimsLost:    m.claimsLost.Load(),
-			LeasesExpired: m.leasesExpired.Load(),
-			JobsStolen:    m.jobsStolen.Load(),
-			RemoteDone:    m.remoteDone.Load(),
-			SweepsAdopted: m.sweepsAdopted.Load(),
-		}
-		if nodes, err := s.store.Nodes(); err != nil {
-			s.noteStoreErr(err)
-		} else {
-			now := time.Now()
-			for _, n := range nodes {
-				cs.NodesSeen++
-				if n.ID != s.cfg.NodeID && now.Sub(n.Time) < 3*s.cfg.LeaseTTL {
-					cs.Peers++
-					if n.Degraded {
-						cs.DegradedPeers++
-					}
+	if !st.LastCompaction.IsZero() {
+		ss.LastCompaction = st.LastCompaction.UTC().Format(time.RFC3339)
+	}
+	snap.Store = ss
+	cs := &ClusterSnapshot{
+		NodeID:        s.cfg.NodeID,
+		ClaimsWon:     m.claimsWon.Load(),
+		ClaimsLost:    m.claimsLost.Load(),
+		LeasesExpired: m.leasesExpired.Load(),
+		JobsStolen:    m.jobsStolen.Load(),
+		RemoteDone:    m.remoteDone.Load(),
+		SweepsAdopted: m.sweepsAdopted.Load(),
+	}
+	if nodes, err := s.store.Nodes(); err != nil {
+		s.noteStoreErr(err)
+	} else {
+		now := time.Now()
+		for _, n := range nodes {
+			cs.NodesSeen++
+			if n.ID != s.cfg.NodeID && now.Sub(n.Time) < 3*s.cfg.LeaseTTL {
+				cs.Peers++
+				if n.Degraded {
+					cs.DegradedPeers++
 				}
 			}
 		}
-		snap.Cluster = cs
 	}
+	snap.Cluster = cs
 
 	s.mu.Lock()
 	snap.Jobs.ByState = make(map[State]int)
@@ -568,10 +560,8 @@ func (s *Service) Metrics() MetricsSnapshot {
 	snap.Cache = CacheStats{Entries: s.cache.len(), Hits: s.cache.hits, Misses: s.cache.misses}
 	snap.Workers = s.cfg.Workers
 	snap.QueueDepth = s.cfg.QueueDepth
-	snap.QueueLen = len(s.queue)
-	if snap.Cluster != nil {
-		snap.Cluster.ClaimsHeld = len(s.leases)
-	}
+	snap.QueueLen = s.backlogLocked()
+	snap.Cluster.ClaimsHeld = len(s.leases)
 	s.mu.Unlock()
 	snap.Tenant.PerTenant = make(map[string]TenantCounters, len(perTenant))
 	for name, tc := range perTenant {

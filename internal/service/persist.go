@@ -16,12 +16,12 @@ import (
 )
 
 // This file is the bridge between the Service's in-memory state and its
-// optional store.Store: every durable transition is mirrored into the
-// store as it commits (the persist* helpers, all called under s.mu and
-// all no-ops without a store), and recover replays the store's state at
-// startup — rebuilding job and sweep records, rehydrating the result
-// cache and sweep event logs, and re-enqueueing work the previous
-// process never finished. See DESIGN.md §9.
+// store.Store: every durable transition is mirrored into the store as it
+// commits (the persist* helpers, all called under s.mu), and recover
+// replays the store's state at startup — rebuilding job and sweep
+// records, rehydrating the result cache and sweep event logs, and
+// turning work the previous process never finished back into queued
+// records. See DESIGN.md §9.
 
 // resolvedMember is one validated sweep member awaiting fan-out.
 type resolvedMember struct {
@@ -38,25 +38,20 @@ type resolvedMember struct {
 // incResultRef notes one more live referent (done job record or cache
 // entry) of the stored result body for key. Callers hold s.mu.
 func (s *Service) incResultRef(key string) {
-	if s.store == nil {
-		return
-	}
 	s.resultRefs[key]++
 }
 
 // decResultRef drops one referent and deletes the stored body when the
 // last one is gone. Callers hold s.mu (the cache's onEvict lands here).
-// In cluster mode the local refcount says nothing about *other*
-// daemons' referents, so shared result bodies are never deleted online
-// — reclaiming a cluster directory is an offline compaction (DESIGN.md
+// Only the store's exclusive writer (empty NodeID) deletes: a cluster
+// member's local refcount says nothing about *other* daemons'
+// referents, so shared result bodies are never deleted online —
+// reclaiming a cluster directory is an offline compaction (DESIGN.md
 // §10).
 func (s *Service) decResultRef(key string) {
-	if s.store == nil {
-		return
-	}
 	if s.resultRefs[key]--; s.resultRefs[key] <= 0 {
 		delete(s.resultRefs, key)
-		if !s.clustered() {
+		if s.cfg.NodeID == "" {
 			s.persistWrite("result-delete", key, func(st store.Store) error {
 				return st.DeleteResult(key)
 			})
@@ -65,13 +60,10 @@ func (s *Service) decResultRef(key string) {
 }
 
 // dropJobRecord mirrors a retention eviction. Only records this daemon
-// submitted are deleted from a shared store — evicting a mirror of a
-// peer's job must not destroy the peer's record. Callers hold s.mu.
+// submitted are deleted — evicting a mirror of a peer's job must not
+// destroy the peer's record. Callers hold s.mu.
 func (s *Service) dropJobRecord(j *job) {
-	if s.store == nil {
-		return
-	}
-	if !s.clustered() || j.node == s.cfg.NodeID {
+	if j.node == s.cfg.NodeID {
 		id := j.id
 		s.persistWrite("job-delete", id, func(st store.Store) error {
 			return st.DeleteJob(id)
@@ -88,9 +80,6 @@ func (s *Service) dropJobRecord(j *job) {
 // transition costs bytes proportional to the state, not to an uploaded
 // netlist. Callers hold s.mu.
 func (s *Service) persistJob(j *job) {
-	if s.store == nil {
-		return
-	}
 	rec := store.JobRecord{
 		ID:        j.id,
 		Seq:       j.seq,
@@ -133,9 +122,6 @@ func (s *Service) persistJob(j *job) {
 // of the rows and is rehydrated through experiments.SweepTable at
 // recovery. Callers hold s.mu.
 func (s *Service) persistSweep(sw *sweep) {
-	if s.store == nil {
-		return
-	}
 	rec := store.SweepRecord{
 		ID:       sw.id,
 		Seq:      sw.seq,
@@ -178,9 +164,6 @@ func (s *Service) persistSweep(sw *sweep) {
 // NDJSON streams carry the same payloads without duplicating megabyte
 // results into the log. Callers hold s.mu.
 func (s *Service) persistSweepEvent(sw *sweep, ev *SweepEvent) {
-	if s.store == nil {
-		return
-	}
 	e := *ev
 	if e.Member != nil && e.Member.Result != nil {
 		m := *e.Member
@@ -203,9 +186,6 @@ func (s *Service) persistSweepEvent(sw *sweep, ev *SweepEvent) {
 // persistResult stores one result body under its content key. Callers
 // hold s.mu.
 func (s *Service) persistResult(key string, res *Result) {
-	if s.store == nil {
-		return
-	}
 	data, err := json.Marshal(res)
 	if err != nil {
 		s.noteStoreErr(err)
@@ -214,11 +194,14 @@ func (s *Service) persistResult(key string, res *Result) {
 	s.persistWrite("result", key, func(st store.Store) error { return st.PutResult(key, data) })
 }
 
-// recover replays the store into the Service and returns the executions
-// to pre-load into the queue. It runs from New before any worker
-// starts, so the mutex it takes is uncontended; everything it decides
-// (orphan flags, repaired member statuses, re-submissions) is persisted
-// back, so a crash during recovery replays to the same place.
+// recover replays the store into the Service. It runs from New before
+// any worker or the claim loop starts, so the mutex it takes is
+// uncontended; everything it decides (orphan flags, repaired member
+// statuses, re-submissions) is persisted back, so a crash during
+// recovery replays to the same place. Recovery itself runs nothing: a
+// re-enqueued job is a queued record again, which the claim loop leases
+// like any submission (the store lets a node re-claim its own lease, so
+// a restarted daemon resumes its orphans without waiting out a TTL).
 //
 // Rules, per record:
 //
@@ -237,26 +220,23 @@ func (s *Service) persistResult(key string, res *Result) {
 //     jobs, members that never reached the queue are re-submitted from
 //     the persisted sweep spec, and the sweep finalizes normally once
 //     the re-run members land.
-func (s *Service) recover() []*execution {
-	if s.store == nil {
-		return nil
-	}
+func (s *Service) recover() {
 	st, err := s.store.Load()
 	if err != nil {
 		// A failed startup Load is a read fault: nothing was lost and
 		// nothing can be parked, so count it and start empty (the claim
 		// loop's Changes resync folds the state in once readable).
 		s.noteStoreErr(err)
-		return nil
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rc := &recovery{s: s, results: make(map[string]*Result), execByKey: make(map[string]*execution)}
+	rc := &recovery{s: s, results: make(map[string]*Result)}
 
-	// Sweeps first, so member jobs can link to them. In cluster mode
-	// each daemon rebuilds only what it owns: peers' records stay in
-	// the store (their submitters recover them), and claimable work is
-	// found by the claim loop, not by recovery.
+	// Sweeps first, so member jobs can link to them. Each daemon
+	// rebuilds only what it owns: peers' records stay in the store
+	// (their submitters recover them), and claimable work is found by
+	// the claim loop, not by recovery.
 	for i := range st.Sweeps {
 		rec := &st.Sweeps[i]
 		if rec.Node != s.cfg.NodeID {
@@ -321,7 +301,7 @@ func (s *Service) recover() []*execution {
 	for i := range st.Jobs {
 		rec := &st.Jobs[i]
 		if rec.Node != s.cfg.NodeID {
-			continue // a peer's job (cluster mode): not ours to rebuild
+			continue // a peer's job: not ours to rebuild
 		}
 		if rec.Seq > s.seq {
 			s.seq = rec.Seq
@@ -380,37 +360,16 @@ func (s *Service) recover() []*execution {
 		s.metrics.jobsRecovered.Add(1)
 	}
 
-	// Re-enqueue orphans, coalescing identical content keys onto one
-	// execution exactly as live submissions would.
+	// Re-enqueue orphans: each becomes a queued record again, unless a
+	// stored result already covers its content key.
 	requeue := func(j *job) {
 		j.orphaned = true
 		j.err = nil
 		j.started = time.Time{}
 		j.finished = time.Time{}
-		if rc.tryComplete(j) {
-			return
-		}
-		if s.clustered() {
-			// Cluster dispatch: the queued record is the queue. Any
-			// member's claim loop (including this daemon's) leases it;
-			// spec resolution happens at claim time.
+		if !rc.tryComplete(j) {
 			rc.enqueue(j, nil, nil)
-			return
 		}
-		// Re-resolve without upload limits: the spec was validated
-		// under the limits in force when it was first accepted.
-		c, err := resolveCircuit(j.spec, bench.Limits{})
-		if err == nil {
-			var t0 vectors.Sequence
-			if t0, err = resolveT0(j.spec, c); err == nil {
-				rc.enqueue(j, c, t0)
-				return
-			}
-		}
-		j.state = StateFailed
-		j.err = fmt.Errorf("recovery: %v", err)
-		j.finished = time.Now()
-		s.persistJob(j)
 	}
 	for _, j := range orphans {
 		if sw := s.sweeps[j.sweepID]; sw != nil && sw.canceled {
@@ -463,41 +422,20 @@ func (s *Service) recover() []*execution {
 			}
 		}
 	}
-	return rc.execs
 }
 
 // recovery is the shared state of one recover pass: the memoized result
-// fetches and the executions being assembled for the queue. Its enqueue
-// and tryComplete helpers are the single implementation of the
-// coalesce/create/instant-complete logic every recovered job goes
-// through, so recovery cannot drift from live submission behavior.
+// fetches. Its enqueue and tryComplete helpers are the single
+// implementation of the requeue/instant-complete logic every recovered
+// job goes through.
 type recovery struct {
-	s         *Service
-	results   map[string]*Result
-	execByKey map[string]*execution
-	execs     []*execution
+	s       *Service
+	results map[string]*Result
 }
 
 // result fetches and memoizes one stored result body (nil when absent
 // or unreadable).
-func (rc *recovery) result(key string) *Result {
-	if res, ok := rc.results[key]; ok {
-		return res
-	}
-	var res *Result
-	if data, ok, err := rc.s.store.Result(key); err != nil {
-		rc.s.noteStoreErr(err)
-	} else if ok {
-		var r Result
-		if err := json.Unmarshal(data, &r); err != nil {
-			rc.s.noteStoreErr(err)
-		} else {
-			res = &r
-		}
-	}
-	rc.results[key] = res
-	return res
-}
+func (rc *recovery) result(key string) *Result { return rc.s.lookupResult(rc.results, key) }
 
 // tryComplete finishes j instantly when a stored result already covers
 // its content key (re-running would reproduce it bit-for-bit anyway)
@@ -517,36 +455,14 @@ func (rc *recovery) tryComplete(j *job) bool {
 	return true
 }
 
-// enqueue attaches j to the in-flight execution for its content key,
-// creating one (with the resolved circuit and T0) when this is the
-// key's first job. In cluster mode no execution is created at all: the
-// job is left a durable queued record (with the resolved inputs cached
-// on j for the local claim fast path) for the cluster's claim loops.
+// enqueue leaves j a durable queued record for the claim loop, caching
+// the resolved circuit and T0 on j (when the caller has them) so the
+// local claim skips re-resolving the stored spec.
 func (rc *recovery) enqueue(j *job, c *netlist.Circuit, t0 vectors.Sequence) {
-	s := rc.s
 	j.state = StateQueued
-	if s.clustered() {
-		if c != nil {
-			j.c, j.t0 = c, t0
-		}
-		s.persistJob(j)
-		s.metrics.orphansRequeued.Add(1)
-		return
-	}
-	if ex := rc.execByKey[j.key]; ex != nil {
-		j.exec = ex
-		ex.jobs = append(ex.jobs, j)
-	} else {
-		ex := &execution{key: j.key, c: c, t0: t0, cfg: j.cfg}
-		ex.ctx, ex.cancel = context.WithCancel(s.rootCtx)
-		ex.jobs = []*job{j}
-		j.exec = ex
-		rc.execByKey[j.key] = ex
-		rc.execs = append(rc.execs, ex)
-		s.inflight[j.key] = ex
-	}
-	s.persistJob(j)
-	s.metrics.orphansRequeued.Add(1)
+	j.c, j.t0 = c, t0
+	rc.s.persistJob(j)
+	rc.s.metrics.orphansRequeued.Add(1)
 }
 
 // repairSweep reconciles one non-terminal sweep with the recovered job
@@ -640,9 +556,9 @@ func (s *Service) repairSweep(rc *recovery, sw *sweep, memberJob map[int]*job) {
 
 // resubmitLostMember builds a fresh job for sweep member i from the
 // persisted sweep spec and queues it through the shared recovery path
-// (instant completion off a stored result, or coalescing by content key
-// with the other recovered executions). Returns nil when the member
-// spec no longer resolves. Callers hold s.mu.
+// (instant completion off a stored result, or a queued record for the
+// claim loop). Returns nil when the member spec no longer resolves.
+// Callers hold s.mu.
 func (s *Service) resubmitLostMember(rc *recovery, sw *sweep, i int) *job {
 	ref := sw.spec.Circuits[i]
 	spec := JobSpec{Circuit: ref.Circuit, Bench: ref.Bench, T0: ref.T0, Config: ref.Override.apply(sw.spec.Config)}

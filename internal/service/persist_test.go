@@ -302,25 +302,6 @@ func TestRecoveryCanceledSweep(t *testing.T) {
 	}
 }
 
-// TestNoStoreUnchanged pins the no-persistence path: a service without a
-// store must behave exactly as before (no store metrics section, no
-// refcounting side effects).
-func TestNoStoreUnchanged(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
-	defer svc.Close()
-	st, err := svc.Submit(fastSpec("s27", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, svc, st.ID, 60*time.Second)
-	if snap := svc.Metrics(); snap.Store != nil {
-		t.Fatal("store metrics section present without a store")
-	}
-	if len(svc.resultRefs) != 0 {
-		t.Fatal("result refcounts maintained without a store")
-	}
-}
-
 func jobID(seq int64) string { return fmt.Sprintf("job-%06d", seq) }
 
 func mustJSON(t *testing.T, v any) json.RawMessage {

@@ -106,20 +106,22 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 // compaction), Procedure 1 selection, §3.2 compaction, coverage
 // verification, and the BIST session that produces golden signatures and
 // the hardware cost report. ctx cancellation is polled between stages,
-// once per ATPG round via atpg.Config.Interrupt, and inside Procedure 1
-// via core.Config.Interrupt. When obs is non-nil, per-stage wall times
+// once per ATPG round via atpg.Config.Interrupt, once per T0-compaction
+// target via tcompact.CompactInterruptible, and inside Procedure 1 via
+// core.Config.Interrupt. When obs is non-nil, per-stage wall times
 // are accumulated into it for GET /metrics.
 func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cfg GenConfig, obs *Metrics) (*Result, error) {
 	start := time.Now()
 	fl := faults.CollapsedUniverse(c)
 
 	rawT0Len := t0.Len()
+	interrupt := func() bool { return ctx.Err() != nil }
 	if t0 == nil {
 		atpgStart := time.Now()
 		gen, err := atpg.Generate(c, fl, atpg.Config{
 			Seed:      cfg.Seed,
 			MaxLen:    cfg.ATPGMaxLen,
-			Interrupt: func() bool { return ctx.Err() != nil },
+			Interrupt: interrupt,
 		})
 		if err != nil {
 			if errors.Is(err, atpg.ErrInterrupted) {
@@ -128,10 +130,9 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 			return nil, fmt.Errorf("atpg: %v", err)
 		}
 		rawT0Len = gen.Seq.Len()
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if t0, _, err = tcompact.CompactInterruptible(c, fl, gen.Seq, interrupt); err != nil {
+			return nil, ctx.Err()
 		}
-		t0, _ = tcompact.Compact(c, fl, gen.Seq)
 		obs.observePhase("atpg", time.Since(atpgStart))
 	}
 	if t0.Len() == 0 {
@@ -144,7 +145,7 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 		OmissionRestart:   true,
 		MaxOmissionTrials: cfg.MaxOmissionTrials,
 		Parallelism:       cfg.Parallelism,
-		Interrupt:         func() bool { return ctx.Err() != nil },
+		Interrupt:         interrupt,
 	}
 	strat, err := strategy.Get(cfg.Strategy)
 	if err != nil {

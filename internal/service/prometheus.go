@@ -118,7 +118,7 @@ func writePrometheus(w io.Writer, snap MetricsSnapshot) {
 
 	g("seqbist_workers", "Synthesis worker-pool size.", float64(snap.Workers))
 	g("seqbist_queue_depth", "Pending-job queue capacity.", float64(snap.QueueDepth))
-	g("seqbist_queue_len", "Executions currently queued.", float64(snap.QueueLen))
+	g("seqbist_queue_len", "Queued jobs no claim has picked up yet.", float64(snap.QueueLen))
 	c("seqbist_http_rate_limited_total", "Submissions answered 429 by the per-client rate limiter.", snap.HTTP.RateLimited)
 
 	if st := snap.Store; st != nil {

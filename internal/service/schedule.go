@@ -1,7 +1,8 @@
 package service
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"seqbist/internal/store"
 )
@@ -19,13 +20,13 @@ import (
 // any member's loop computes the same shares from the same store.
 // See DESIGN.md §15.
 
-// tenantClass is the scheduling profile drrOrder needs per tenant.
+// tenantClass is the scheduling profile the DRR order needs per tenant.
 type tenantClass struct {
 	weight   int
 	priority int
 }
 
-// schedClass adapts the tenant config table for drrOrder. Weight 0
+// schedClass adapts the tenant config table for the DRR order. Weight 0
 // (unconfigured or unlisted tenant) schedules as 1.
 func (s *Service) schedClass(name string) tenantClass {
 	tc := s.tenantConfig(name)
@@ -36,78 +37,90 @@ func (s *Service) schedClass(name string) tenantClass {
 	return tenantClass{weight: w, priority: tc.Priority}
 }
 
-// drrOrder returns queued records reordered for claiming: priority
-// classes descending, deficit-round-robin by tenant weight within each
-// class, FIFO (input order) within each tenant. deficits carries credit
-// across calls — a tenant that got less than its share this tick is
-// owed next tick — and follows the classic DRR reset: a tenant whose
-// backlog empties forfeits its remaining credit (no hoarding while
-// idle), and tenants absent from the input are dropped from the map.
+// drrState is deficit-round-robin state that outlives one claim tick:
+// each tenant's unspent credit and whose turn it is. A tick claims only
+// as many records as it has free worker slots — one, when a single
+// worker frees — so the rotation has to resume where the previous
+// tick's claims left it; a fresh round per tick would hand every claim
+// to the first tenant in the rotation and ignore the weights.
+type drrState struct {
+	deficit map[string]float64
+	turn    string
+}
+
+// next picks the tenant to serve from backlog (tenants with pending
+// records): within the highest priority class present, the tenant whose
+// turn it is while its credit lasts, otherwise the next tenant after it
+// in name order (wrapping), so every cluster member visits tenants in
+// the same rotation.
+func (d *drrState) next(backlog map[string][]store.JobRecord, class func(string) tenantClass) string {
+	top, first := 0, true
+	for name := range backlog {
+		if p := class(name).priority; first || p > top {
+			top, first = p, false
+		}
+	}
+	if _, ok := backlog[d.turn]; ok && class(d.turn).priority == top && d.deficit[d.turn] >= 1 {
+		return d.turn
+	}
+	var after, wrap string
+	for name := range backlog {
+		if class(name).priority != top {
+			continue
+		}
+		if name > d.turn && (after == "" || name < after) {
+			after = name
+		}
+		if wrap == "" || name < wrap {
+			wrap = name
+		}
+	}
+	if after != "" {
+		return after
+	}
+	return wrap
+}
+
+// charge spends one unit of name's credit on one claim, first opening a
+// new turn — one quantum of the tenant's weight — unless name is the
+// tenant mid-turn with credit left.
+func (d *drrState) charge(name string, class func(string) tenantClass) {
+	if name != d.turn || d.deficit[name] < 1 {
+		d.turn = name
+		d.deficit[name] += float64(class(name).weight)
+	}
+	d.deficit[name]--
+}
+
+// order emits recs in claim order — priority classes descending,
+// deficit-round-robin by tenant weight within each class, FIFO (input
+// order) within each tenant — spending d's credit as it goes. Tenants
+// with no backlog are dropped from d first and a tenant whose backlog
+// empties forfeits its remaining credit (classic DRR: no hoarding while
+// idle, and the map stays bounded).
 //
 // The fairness invariant (pinned by TestDRROrderWeightedBound): among
 // continuously-backlogged tenants of one class, tenant t's k-th job
 // appears within ceil(k/w_t)+1 rounds, i.e. by global position
 // (ceil(k/w_t)+1)·W where W is the class's total weight.
-func drrOrder(recs []store.JobRecord, class func(string) tenantClass, deficits map[string]float64) []store.JobRecord {
-	if len(recs) <= 1 {
-		return recs
-	}
-	// Group by tenant, preserving input order per tenant.
-	byTenant := make(map[string][]store.JobRecord)
-	var names []string
+func (d *drrState) order(recs []store.JobRecord, class func(string) tenantClass) []store.JobRecord {
+	backlog := make(map[string][]store.JobRecord)
 	for _, rec := range recs {
-		name := rec.Tenant
-		if name == "" {
-			name = AnonymousTenant
-		}
-		if _, seen := byTenant[name]; !seen {
-			names = append(names, name)
-		}
-		byTenant[name] = append(byTenant[name], rec)
+		name := tenantName(rec.Tenant)
+		backlog[name] = append(backlog[name], rec)
 	}
-	// Forget deficits of tenants with no backlog right now.
-	for name := range deficits {
-		if _, ok := byTenant[name]; !ok {
-			delete(deficits, name)
-		}
-	}
-	// Partition tenants into priority classes, highest first; tenants
-	// sort by name within a class so every cluster member visits them
-	// in the same rotation.
-	sort.Strings(names)
-	classes := make(map[int][]string)
-	var prios []int
-	for _, name := range names {
-		p := class(name).priority
-		if _, seen := classes[p]; !seen {
-			prios = append(prios, p)
-		}
-		classes[p] = append(classes[p], name)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-
+	maps.DeleteFunc(d.deficit, func(name string, _ float64) bool {
+		_, ok := backlog[name]
+		return !ok
+	})
 	out := make([]store.JobRecord, 0, len(recs))
-	for _, p := range prios {
-		members := classes[p]
-		remaining := len(members)
-		for remaining > 0 {
-			for _, name := range members {
-				pending := byTenant[name]
-				if len(pending) == 0 {
-					continue
-				}
-				deficits[name] += float64(class(name).weight)
-				for deficits[name] >= 1 && len(pending) > 0 {
-					out = append(out, pending[0])
-					pending = pending[1:]
-					deficits[name]--
-				}
-				byTenant[name] = pending
-				if len(pending) == 0 {
-					deficits[name] = 0 // classic DRR: empty queue forfeits credit
-					remaining--
-				}
-			}
+	for len(backlog) > 0 {
+		name := d.next(backlog, class)
+		out = append(out, backlog[name][0])
+		d.charge(name, class)
+		if backlog[name] = backlog[name][1:]; len(backlog[name]) == 0 {
+			delete(backlog, name)
+			d.deficit[name] = 0
 		}
 	}
 	return out
@@ -117,7 +130,12 @@ func drrOrder(recs []store.JobRecord, class func(string) tenantClass, deficits m
 // terminal records first (the cancel-detach path must stay immediate),
 // then non-queued records (running work — steal candidates on lease
 // expiry — keeps its Seq order), then the queued backlog under DRR.
-// Called from the cluster goroutine, which owns s.drrDeficit.
+// Queued records already in flight here (claimed, not yet started) are
+// left out, since a record visited but skipped would cost its tenant a
+// turn. The ordering runs on a copy of s.drr: claimWork charges s.drr
+// only for the claims it wins, so credit is never spent on records this
+// tick leaves queued. Called from the cluster goroutine, which owns
+// s.drr.
 func (s *Service) scheduleRecords(jobs []store.JobRecord) []store.JobRecord {
 	var terminal, running, queued []store.JobRecord
 	for _, rec := range jobs {
@@ -130,9 +148,20 @@ func (s *Service) scheduleRecords(jobs []store.JobRecord) []store.JobRecord {
 			running = append(running, rec)
 		}
 	}
+	s.mu.Lock()
+	queued = slices.DeleteFunc(queued, func(rec store.JobRecord) bool {
+		j := s.jobs[rec.ID]
+		return j != nil && j.exec != nil
+	})
+	s.mu.Unlock()
+	sim := drrState{deficit: maps.Clone(s.drr.deficit), turn: s.drr.turn}
+	queued = sim.order(queued, s.schedClass)
+	maps.DeleteFunc(s.drr.deficit, func(name string, _ float64) bool {
+		_, ok := sim.deficit[name]
+		return !ok
+	})
 	out := make([]store.JobRecord, 0, len(jobs))
 	out = append(out, terminal...)
 	out = append(out, running...)
-	out = append(out, drrOrder(queued, s.schedClass, s.drrDeficit)...)
-	return out
+	return append(out, queued...)
 }

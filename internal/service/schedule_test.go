@@ -24,6 +24,13 @@ func queuedRecs(tenants ...string) []store.JobRecord {
 	return recs
 }
 
+// drrOrder is one DRR ordering of recs from a fresh rotation, carrying
+// the given per-tenant credit (which it spends and prunes in place).
+func drrOrder(recs []store.JobRecord, class func(string) tenantClass, deficits map[string]float64) []store.JobRecord {
+	d := drrState{deficit: deficits}
+	return d.order(recs, class)
+}
+
 // TestDRROrderWeightedBound is the fairness property test: under random
 // weights and random arrival interleavings, every continuously-backlogged
 // tenant's k-th job appears within (ceil(k/w)+1)·W global positions,

@@ -24,12 +24,9 @@ func Serve(addr string, cfg Config) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	if snap := svc.Metrics(); snap.Store != nil {
-		log.Printf("store: replayed %d records — %d jobs, %d sweeps, %d orphans re-enqueued (truncated tail: %v)",
-			snap.Store.RecordsReplayed, snap.Store.JobsRecovered,
-			snap.Store.SweepsRecovered, snap.Store.OrphansRequeued,
-			snap.Store.TruncatedTail)
-	}
+	st := svc.Metrics().Store
+	log.Printf("store: replayed %d records — %d jobs, %d sweeps, %d orphans re-enqueued (truncated tail: %v)",
+		st.RecordsReplayed, st.JobsRecovered, st.SweepsRecovered, st.OrphansRequeued, st.TruncatedTail)
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,8 +1,10 @@
-// Package service is the long-lived BIST-synthesis service: an in-process
-// job queue with a worker pool that runs the full loading-and-expansion
-// pipeline (ATPG/T0 -> Procedure 1 selection -> §3.2 compaction -> BIST
-// session with golden signatures and hardware cost) per submitted job,
-// fronted by an HTTP JSON API (see NewHandler).
+// Package service is the long-lived BIST-synthesis service: a job queue
+// kept as queued records in a store.Store, drained by a claim loop into
+// a worker pool that runs the full loading-and-expansion pipeline
+// (ATPG/T0 -> Procedure 1 selection -> §3.2 compaction -> BIST session
+// with golden signatures and hardware cost) per submitted job, fronted
+// by an HTTP JSON API (see NewHandler). One daemon is a cluster of one:
+// several daemons sharing a store drain the same queue the same way.
 //
 // Jobs are content-addressed: the hash of the circuit's name and
 // structural fingerprint, the supplied T0, and the normalized
@@ -59,7 +61,8 @@ var (
 type Config struct {
 	// Workers is the synthesis worker-pool size (default 4).
 	Workers int
-	// QueueDepth is the pending-job capacity (default 64).
+	// QueueDepth caps this node's queued jobs that no claim has picked
+	// up yet (default 64); submissions beyond it fail with ErrQueueFull.
 	QueueDepth int
 	// CacheSize is the maximum number of cached results (default 128;
 	// negative disables caching).
@@ -90,25 +93,31 @@ type Config struct {
 	// BenchLimits bounds uploaded .bench netlists (default
 	// bench.UploadLimits; negative fields disable the respective limit).
 	BenchLimits bench.Limits
-	// Store, when non-nil, makes every piece of job, sweep, event-log,
-	// and result-cache state durable: each transition is mirrored into
-	// the store, and New replays the store's state — re-enqueueing jobs
-	// that were queued or running when the previous process died — so a
-	// restart resumes exactly where the crash left off (see DESIGN.md
-	// §9). The Service takes ownership and closes the store after the
-	// worker pool drains. Nil (the default) keeps the pre-store,
-	// process-memory-only behavior.
+	// Store holds every piece of job, sweep, event-log, and result-cache
+	// state: each transition is mirrored into it, and it is also the
+	// job queue — a submission is a durable queued record that the claim
+	// loop leases for execution. New replays the store's state, and jobs
+	// that were queued or running when the previous process died become
+	// queued records again, so a restart resumes exactly where the crash
+	// left off (see DESIGN.md §9). The Service takes ownership and closes
+	// the store after the worker pool drains. Nil (the default) means a
+	// fresh store.NewMemory(): the same dispatch path, with nothing
+	// surviving the process.
 	Store store.Store
 
-	// NodeID, together with Store, turns this service into one member
-	// of a multi-daemon cluster: every daemon that opens the same store
-	// under a distinct NodeID cooperatively drains one queue. Dispatch
-	// changes shape — submissions become durable queued records, and a
-	// claim loop on every member leases records for execution (stealing
-	// work whose holder's lease expired, e.g. a SIGKILLed peer), so any
-	// member's jobs and sweeps finish as long as one member survives.
-	// IDs are namespaced per node ("job-<node>-000001"). See DESIGN.md
-	// §10. Empty (the default) keeps single-daemon dispatch.
+	// NodeID is this service's identity in the store. Empty (the
+	// default) holds the store exclusively, as its single writer: job
+	// and sweep IDs are "job-000001"/"sweep-0001", and result bodies are
+	// deleted as soon as their last local referent goes. A non-empty
+	// NodeID makes this service one member of a multi-daemon cluster:
+	// every daemon that opens the same store under a distinct NodeID
+	// cooperatively drains one queue, each claim loop leasing records
+	// for execution (stealing work whose holder's lease expired, e.g. a
+	// SIGKILLed peer), so any member's jobs and sweeps finish as long as
+	// one member survives. IDs are namespaced per node
+	// ("job-<node>-000001"), and shared result bodies are never deleted
+	// online. Dispatch is the same claim loop either way; see DESIGN.md
+	// §10.
 	NodeID string
 	// LeaseTTL is how long a claimed job stays fenced to its claimant
 	// without renewal (default 10s). Shorter TTLs re-assign a killed
@@ -124,7 +133,7 @@ type Config struct {
 	// how often a node whose store writes failed replays its parked
 	// records to test whether the disk recovered (see degrade.go). It is
 	// also the honest Retry-After the HTTP layer attaches to degraded
-	// 503s. Meaningful only with a Store.
+	// 503s. A store.Memory never fails, so it matters only on disk.
 	ProbeInterval time.Duration
 	// ShutdownTimeout bounds the graceful drain in Serve: how long
 	// in-flight HTTP requests (including sweep event streams) get to
@@ -180,19 +189,14 @@ func (c Config) withDefaults() Config {
 	if c.BenchLimits.MaxSignals < 0 {
 		c.BenchLimits.MaxSignals = 0
 	}
-	if c.NodeID != "" {
-		if c.LeaseTTL <= 0 {
-			c.LeaseTTL = 10 * time.Second
-		}
-		if c.PollInterval <= 0 {
-			c.PollInterval = c.LeaseTTL / 20
-			if c.PollInterval < 100*time.Millisecond {
-				c.PollInterval = 100 * time.Millisecond
-			}
-			if c.PollInterval > time.Second {
-				c.PollInterval = time.Second
-			}
-		}
+	if c.Store == nil {
+		c.Store = store.NewMemory()
+	}
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 10 * time.Second
+	}
+	if c.PollInterval <= 0 {
+		c.PollInterval = min(max(c.LeaseTTL/20, 100*time.Millisecond), time.Second)
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -214,7 +218,10 @@ func (c Config) withDefaults() Config {
 
 // Service is the synthesis job manager. Create with New, stop with Close.
 type Service struct {
-	cfg   Config
+	cfg Config
+	// queue hands executions the claim loop won (startClaimed) to the
+	// worker pool. It is not the job queue — that is the store's queued
+	// records — so it holds at most the claim budget, Workers+1.
 	queue chan *execution
 
 	rootCtx    context.Context
@@ -223,24 +230,25 @@ type Service struct {
 
 	metrics Metrics
 
-	store store.Store // nil = no persistence
+	store store.Store
 
 	mu         sync.Mutex
 	jobs       map[string]*job
 	order      []string // submission order, for listing
 	cache      *resultCache
 	inflight   map[string]*execution // content key -> in-flight run
-	leases     map[string]*execution // job ID -> locally-claimed run (cluster mode)
+	leases     map[string]*execution // job ID -> locally-claimed run
 	seq        int64
 	sweeps     map[string]*sweep
 	sweepOrder []string // creation order, for listing and eviction
 	sweepSeq   int64
 	closed     bool
 
-	// Cluster-mode plumbing: started stamps the heartbeat record,
+	// Claim-loop plumbing: started stamps the heartbeat record,
 	// clusterWake nudges the claim loop ahead of its next tick (local
-	// submissions should not wait a full poll interval), lastHeartbeat
-	// throttles heartbeat records (touched only by the claim loop).
+	// submissions and freed workers should not wait a full poll
+	// interval), lastHeartbeat throttles heartbeat records (touched only
+	// by the claim loop).
 	started       time.Time
 	clusterWake   chan struct{}
 	lastHeartbeat time.Time
@@ -265,17 +273,17 @@ type Service struct {
 	anonDefault  TenantConfig
 
 	// Per-tenant runtime accounting (drain meters) and the service-wide
-	// drain meter, guarded by s.mu. drrDeficit is the claim loop's
-	// deficit-round-robin credit, touched only by the cluster goroutine
+	// drain meter, guarded by s.mu. drr is the claim loop's
+	// deficit-round-robin state, touched only by the cluster goroutine
 	// (like the mirror maps above).
 	tstate      map[string]*tenantState
 	globalDrain drainMeter
-	drrDeficit  map[string]float64
+	drr         drrState
 
 	// resultRefs counts, per content key, the live referents of a
 	// stored result body: done job records plus cache entries. When the
 	// last referent disappears (retention or LRU eviction) the body is
-	// deleted from the store. Maintained only when store is non-nil.
+	// deleted from the store when this service holds it exclusively.
 	resultRefs map[string]int
 
 	// Degradation state machine (degrade.go). degraded is atomic so the
@@ -293,17 +301,19 @@ type Service struct {
 	lastClusterTick atomic.Int64
 }
 
-// New starts a service with cfg's worker pool running. When cfg.Store
-// is set, the store's state is replayed first: terminal jobs, sweeps,
-// event logs, and cached results reappear, and jobs that were queued or
-// running when the previous process died are re-enqueued (marked
-// orphaned) before the workers start — re-running is safe because
-// results are content-addressed and coalescing dedups observers.
+// New starts a service with cfg's worker pool and claim loop running.
+// The store's state is replayed first: terminal jobs, sweeps, event
+// logs, and cached results reappear, and jobs that were queued or
+// running when the previous process died become queued records again
+// (marked orphaned), which the claim loop picks up like any other
+// submission — re-running is safe because results are content-addressed
+// and coalescing dedups observers.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:          cfg,
+		queue:        make(chan *execution, cfg.Workers+1),
 		store:        cfg.Store,
 		rootCtx:      ctx,
 		rootCancel:   cancel,
@@ -319,43 +329,24 @@ func New(cfg Config) *Service {
 		remoteSweeps: make(map[string]store.SweepRecord),
 		parkedIdx:    make(map[string]int),
 		tstate:       make(map[string]*tenantState),
-		drrDeficit:   make(map[string]float64),
+		drr:          drrState{deficit: make(map[string]float64)},
 	}
 	s.buildTenants()
 	s.cache.onEvict = s.decResultRef
 	s.lastClusterTick.Store(s.started.UnixNano())
-	// Recovery may enlarge the queue so every re-enqueued execution
-	// fits ahead of new submissions; it needs no locking because the
-	// workers have not started. (In cluster mode recovery re-queues
-	// nothing directly: orphans become durable queued records that the
-	// claim loop — any member's — picks up.)
-	recovered := s.recover()
-	queue := make(chan *execution, cfg.QueueDepth+len(recovered))
-	for _, ex := range recovered {
-		queue <- ex
-	}
-	s.queue = queue
+	s.recover()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.clustered() {
-		s.wg.Add(1)
-		go s.clusterLoop()
-	}
-	if s.store != nil {
-		s.wg.Add(1)
-		go s.probeLoop()
-	}
+	s.wg.Add(2)
+	go s.clusterLoop()
+	go s.probeLoop()
 	return s
 }
 
-// clustered reports whether this service is a member of a multi-daemon
-// cluster (a store plus a node identity).
-func (s *Service) clustered() bool { return s.store != nil && s.cfg.NodeID != "" }
-
-// newJobID formats a job ID; cluster mode namespaces it by node so
-// concurrent daemons sharing one store cannot collide.
+// newJobID formats a job ID; a named node namespaces it so concurrent
+// daemons sharing one store cannot collide.
 func (s *Service) newJobID(seq int64) string {
 	if s.cfg.NodeID != "" {
 		return fmt.Sprintf("job-%s-%06d", s.cfg.NodeID, seq)
@@ -421,9 +412,7 @@ func (s *Service) SubmitAs(tenant string, spec JobSpec) (Status, error) {
 func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpec, tenant, sweepID string, member int, onRunning func(Status), onTerminal func(Status, *Result)) (Status, error) {
 	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
 	key := contentKey(c, spec.T0, cfg)
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
+	tenant = tenantName(tenant)
 
 	s.mu.Lock()
 	if s.closed {
@@ -509,42 +498,39 @@ func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpe
 		}
 		return st, nil
 	}
-	if s.clustered() {
-		// Cluster dispatch: the durable queued record *is* the queue.
-		// Every member's claim loop — including this daemon's — races to
-		// lease it; whoever wins executes and publishes the result under
-		// the content key, and this daemon's poll loop completes j and
-		// fires its hooks when the terminal record appears.
-		j.state = StateQueued
-		s.register(j)
-		s.persistJob(j)
-		st := j.status()
-		s.mu.Unlock()
-		s.metrics.jobsSubmitted.Add(1)
-		s.metrics.observeTenantSubmit(tenant)
-		s.nudgeCluster()
-		return st, nil
-	}
-	ex := &execution{key: key, c: c, t0: t0, cfg: cfg}
-	ex.ctx, ex.cancel = context.WithCancel(s.rootCtx)
-	ex.jobs = []*job{j}
-	j.exec = ex
-	j.state = StateQueued
-	select {
-	case s.queue <- ex:
-	default:
-		ex.cancel() // release the context registration
+	if s.backlogLocked() >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		return Status{}, ErrQueueFull
 	}
-	s.inflight[key] = ex
+	// The durable queued record *is* the queue. Every claim loop sharing
+	// the store — this daemon's included — races to lease it; whoever
+	// wins executes and publishes the result under the content key, and
+	// this daemon's loop completes j and fires its hooks when the
+	// terminal record appears.
+	j.state = StateQueued
 	s.register(j)
 	s.persistJob(j)
 	st := j.status()
 	s.mu.Unlock()
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.observeTenantSubmit(tenant)
+	s.nudgeCluster()
 	return st, nil
+}
+
+// backlogLocked counts this node's own queued jobs that no claim has
+// picked up yet — the submissions QueueDepth bounds. Claimed work (on
+// the workers or in their hand-off) and coalesced observers hold no
+// slot; peers' records are theirs to bound. Counting iterates the
+// retained job table, like admitJobLocked. Callers hold s.mu.
+func (s *Service) backlogLocked() int {
+	n := 0
+	for _, j := range s.jobs {
+		if j.state == StateQueued && j.exec == nil && j.node == s.cfg.NodeID {
+			n++
+		}
+	}
+	return n
 }
 
 // register records j and evicts the oldest terminal records beyond the
@@ -689,9 +675,9 @@ func (s *Service) Stats() Stats {
 }
 
 // Close stops accepting jobs, cancels everything in flight, waits for
-// the workers to drain, and flushes and closes the store (when one is
-// configured), so every terminal record reaches disk before the daemon
-// exits.
+// the workers to drain, and flushes and closes the store, so every
+// terminal record reaches disk before the daemon exits. Queued records
+// nobody claimed stay queued in the store for the next process.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -703,12 +689,10 @@ func (s *Service) Close() {
 	s.rootCancel()
 	close(s.queue)
 	s.wg.Wait()
-	if s.store != nil {
-		// Every acknowledged write is already on disk (the WAL syncs
-		// per-append); a close failure here can only lose records that
-		// were never acknowledged to a caller.
-		_ = s.store.Close()
-	}
+	// Every acknowledged write is already on disk (the WAL syncs
+	// per-append); a close failure here can only lose records that were
+	// never acknowledged to a caller.
+	_ = s.store.Close()
 }
 
 // dropInflight clears ex's coalescing slot, but only while the slot is
@@ -723,11 +707,15 @@ func (s *Service) dropInflight(ex *execution) {
 	}
 }
 
-// worker drains the queue until Close.
+// worker drains the claim loop's hand-off until Close. A freed worker
+// wakes the claim loop: the loop leases at most Workers+1 records, so
+// without the wake a deeper backlog would wait out a poll interval
+// between jobs.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for ex := range s.queue {
 		s.runExec(ex)
+		s.nudgeCluster()
 	}
 }
 

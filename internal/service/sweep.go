@@ -286,9 +286,7 @@ func (s *Service) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
 // failing the sweep. The sweep is admitted as a unit: its members bypass
 // the tenant's queued-jobs quota.
 func (s *Service) SubmitSweepAs(tenant string, spec SweepSpec) (SweepStatus, error) {
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
+	tenant = tenantName(tenant)
 	if s.degraded.Load() {
 		// Same edge rejection as Submit: already-accepted sweeps keep
 		// running (their writes park), but no new durable obligations.
@@ -467,8 +465,8 @@ func (s *Service) memberTerminal(sw *sweep, i int, final Status, res *Result) {
 
 // raceFanOut fans one racing member out as one leg job per concrete
 // strategy. Every leg carries the member's full config with only the
-// strategy replaced, so the legs have distinct content keys and — in
-// cluster mode — land on whichever nodes' claim loops win them. Legs are
+// strategy replaced, so the legs have distinct content keys and land on
+// whichever nodes' claim loops win them. Legs are
 // plain sweep jobs with member = -1 (they are not members themselves);
 // the member's own status is decided in decideRaceLocked once the last
 // leg is terminal. Callers must NOT hold the Service mutex.
@@ -694,12 +692,9 @@ func (s *Service) registerSweep(sw *sweep) {
 		if over > 0 && s.sweeps[id].state.Terminal() {
 			delete(s.sweeps, id)
 			over--
-			if s.store != nil {
-				id := id
-				s.persistWrite("sweep-delete", id, func(st store.Store) error {
-					return st.DeleteSweep(id)
-				})
-			}
+			s.persistWrite("sweep-delete", id, func(st store.Store) error {
+				return st.DeleteSweep(id)
+			})
 			continue
 		}
 		kept = append(kept, id)

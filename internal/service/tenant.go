@@ -228,17 +228,24 @@ func (d *drainMeter) retryAfter(now time.Time) time.Duration {
 
 // tenantState is one tenant's runtime accounting, guarded by s.mu like
 // the job tables it is derived from. DRR deficits are NOT here — they
-// belong to the claim loop alone (Service.drrDeficit).
+// belong to the claim loop alone (Service.drr).
 type tenantState struct {
 	drain drainMeter
+}
+
+// tenantName normalizes a tenant name: empty means anonymous (records
+// and callers that predate tenants carry no name).
+func tenantName(name string) string {
+	if name == "" {
+		return AnonymousTenant
+	}
+	return name
 }
 
 // tenantStateLocked returns (lazily creating) the runtime state for a
 // tenant. Callers hold s.mu.
 func (s *Service) tenantStateLocked(name string) *tenantState {
-	if name == "" {
-		name = AnonymousTenant
-	}
+	name = tenantName(name)
 	ts := s.tstate[name]
 	if ts == nil {
 		ts = &tenantState{}

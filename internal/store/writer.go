@@ -181,8 +181,13 @@ func (d *Disk) appendData(typ string, data any) error {
 }
 
 // appendControl appends one control record (claim, node, epoch)
-// directly to the manifest.
+// directly to the manifest. An exclusive handle's lease and heartbeat
+// records are not fsynced: no peer arbitrates against them, and a power
+// cut that loses the newest of them only costs the restarted writer a
+// re-claim of its own work (applyClaim lets a node re-claim its lease).
+// The next fsynced append flushes them anyway.
 func (d *Disk) appendControl(typ string, data any) error {
+	sync := d.opts.Fsync && (d.opts.NodeID != "" || typ == "epoch")
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -197,7 +202,7 @@ func (d *Disk) appendControl(typ string, data any) error {
 		if _, err := man.WriteString(line); err != nil {
 			return fmt.Errorf("store: manifest append: %w", classify(err))
 		}
-		if d.opts.Fsync {
+		if sync {
 			if err := man.Sync(); err != nil {
 				return fmt.Errorf("store: manifest fsync: %w", classify(err))
 			}

@@ -18,6 +18,7 @@
 package tcompact
 
 import (
+	"errors"
 	"sort"
 
 	"seqbist/internal/faults"
@@ -44,12 +45,25 @@ func (s Stats) Ratio() float64 {
 	return float64(s.CompactedLen) / float64(s.OriginalLen)
 }
 
+// ErrInterrupted is returned by CompactInterruptible when its hook fired.
+var ErrInterrupted = errors.New("tcompact: compaction interrupted")
+
 // Compact returns a compacted version of t0 that detects every fault of fl
 // that t0 detects.
 func Compact(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) (vectors.Sequence, Stats) {
+	out, st, _ := CompactInterruptible(c, fl, t0, nil)
+	return out, st
+}
+
+// CompactInterruptible is Compact with a cancellation hook: interrupt,
+// when non-nil, is polled once per target fault, before that fault's
+// restoration, and when it reports true compaction stops with
+// ErrInterrupted (and a nil sequence) without simulating further. A hook
+// that never fires leaves the result identical to Compact's.
+func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, interrupt func() bool) (vectors.Sequence, Stats, error) {
 	st := Stats{OriginalLen: t0.Len()}
 	if t0.Len() == 0 {
-		return nil, st
+		return nil, st, nil
 	}
 	base := fsim.Run(c, fl, t0)
 	st.Targets = base.NumDetected
@@ -85,6 +99,9 @@ func Compact(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) (vector
 	for _, fi := range order {
 		if covered[fi] {
 			continue
+		}
+		if interrupt != nil && interrupt() {
+			return nil, st, ErrInterrupted
 		}
 		// Restore vectors backwards from udet(fi) until the kept sequence
 		// detects fi. Termination: once every vector of T0[0, udet] is
@@ -143,5 +160,5 @@ func Compact(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) (vector
 
 	out := restored()
 	st.CompactedLen = out.Len()
-	return out, st
+	return out, st, nil
 }

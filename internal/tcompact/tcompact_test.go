@@ -1,6 +1,7 @@
 package tcompact
 
 import (
+	"errors"
 	"testing"
 
 	"seqbist/internal/atpg"
@@ -110,5 +111,48 @@ func TestStatsRatio(t *testing.T) {
 	}
 	if (Stats{OriginalLen: 10, CompactedLen: 5}).Ratio() != 0.5 {
 		t.Error("ratio wrong")
+	}
+}
+
+// TestCompactInterruptible checks the cancellation hook: a hook firing on
+// poll k+1 stops compaction with ErrInterrupted after k targets and
+// simulates nothing once it fired; a hook that never fires changes
+// nothing.
+func TestCompactInterruptible(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	fl := faults.CollapsedUniverse(c)
+	gen, err := atpg.Generate(c, fl, atpg.Config{Seed: 1, MaxLen: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt := Compact(c, fl, gen.Seq)
+	targets := 0
+	got, gotSt, err := CompactInterruptible(c, fl, gen.Seq, func() bool { targets++; return false })
+	if err != nil || !got.Equal(want) || gotSt != wantSt {
+		t.Fatalf("silent hook: err %v, stats %+v; without hook %+v", err, gotSt, wantSt)
+	}
+	if targets <= 3 {
+		t.Fatalf("only %d targets polled; the test needs more than 3", targets)
+	}
+	for _, k := range []int{0, 1, 3} {
+		polls := 0
+		var firedAt int64
+		out, _, err := CompactInterruptible(c, fl, gen.Seq, func() bool {
+			polls++
+			if polls > k {
+				firedAt = fsim.PatternsApplied()
+				return true
+			}
+			return false
+		})
+		if !errors.Is(err, ErrInterrupted) || out != nil {
+			t.Fatalf("k=%d: CompactInterruptible = %v, %v; want nil, ErrInterrupted", k, out, err)
+		}
+		if polls != k+1 {
+			t.Errorf("k=%d: hook polled %d times, want %d", k, polls, k+1)
+		}
+		if after := fsim.PatternsApplied(); after != firedAt {
+			t.Errorf("k=%d: %d patterns simulated after the hook fired", k, after-firedAt)
+		}
 	}
 }

@@ -17,12 +17,13 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_14.json via scripts/bench_check.sh.
+# the counts against BENCH_15.json via scripts/bench_check.sh.
 #
-# BENCH_14.json in the repository root records the post-selection fault
-# dropping round (before/after timings of the CompactVerify leg) plus the
-# expected detection counts of every leg; BENCH_13.json, BENCH_12.json,
-# BENCH_9.json and BENCH_3.json hold the earlier rounds' records.
+# BENCH_15.json in the repository root records the one-dispatch-path
+# round (before/after timings of BenchmarkServiceThroughput and
+# BenchmarkServiceCacheHit) plus the expected detection counts of every
+# leg; BENCH_14.json, BENCH_13.json, BENCH_12.json, BENCH_9.json and
+# BENCH_3.json hold the earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic detection counts of a
 # scripts/bench.sh -json run against the expected counts committed in
-# BENCH_14.json ("detections" section), and fail on any mismatch. The
+# BENCH_15.json ("detections" section), and fail on any mismatch. The
 # counts cover every engine configuration the suite exercises — serial,
 # sharded (workers=1,2,4), the candidate-parallel Procedure 2 leg, and
 # the post-selection compaction/verification leg — so behavior drift in
@@ -13,12 +13,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_14.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_15.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_14.json}
+EXPECTED=${2:-BENCH_15.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N}
