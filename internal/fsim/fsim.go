@@ -179,9 +179,6 @@ type Engine struct {
 	// the Options.FullEvaluation reference mode.
 	fullEval bool
 
-	// singleSim is the pooled scalar simulator behind Engine.Single.
-	singleSim *Single
-
 	// estat accumulates this engine's share of the efficiency counters;
 	// Engine.Stats returns a snapshot. The process-wide counters
 	// (stats.go) advance in the same flushes.

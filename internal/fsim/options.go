@@ -159,17 +159,6 @@ func fullAlive64(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// Single simulates fault f alone against seq from the all-unknown state
-// using the pooled scalar two-machine simulator, returning whether (and
-// when) it is detected. It is independent of the engine's carried
-// parallel-machine state.
-func (e *Engine) Single(f faults.Fault, seq vectors.Sequence) (detected bool, at int) {
-	if e.singleSim == nil {
-		e.singleSim = NewSingle(e.c)
-	}
-	return e.singleSim.Detects(f, seq)
-}
-
 // Stats returns the cumulative simulation-efficiency counters accumulated
 // by this engine (across Reset calls). The process-wide aggregate over
 // all engines is the package-level Stats.

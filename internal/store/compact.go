@@ -75,11 +75,6 @@ func (d *Disk) compactRoundLocked(now time.Time) error {
 		d.recomputeLogBytesLocked()
 		return nil
 	}
-	// Whether wal.log may be deleted is judged against the snapshot
-	// that existed *before* this round: one extra round of delay closes
-	// the race with an Open that read the old snapshot and is about to
-	// read wal.log.
-	legacySafe := d.legacySafe
 	// Seal generation g.
 	next, err := d.fs.OpenFile(d.manifestPath(g+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -138,7 +133,7 @@ func (d *Disk) compactRoundLocked(now time.Time) error {
 	if err := d.writeSnapshotLocked(); err != nil {
 		return err
 	}
-	d.gcLocked(now, legacySafe)
+	d.gcLocked(now)
 	d.recomputeLogBytesLocked()
 	d.stats.Compactions++
 	d.stats.LastCompaction = now
@@ -190,16 +185,14 @@ func (d *Disk) writeSnapshotLocked() error {
 	for node, lsn := range snap.LSNs {
 		d.snapLSNs[node] = lsn
 	}
-	d.legacySafe = true
 	return nil
 }
 
 // gcLocked deletes every wal/ generation below the lowest fold
 // watermark any live node has published (a node that never published
 // one pins everything until its first heartbeat; a node silent past
-// StaleAfter pins nothing). When legacySafe, the pre-segmentation
-// wal.log — fully covered by the previous snapshot — goes too.
-func (d *Disk) gcLocked(now time.Time, legacySafe bool) {
+// StaleAfter pins nothing).
+func (d *Disk) gcLocked(now time.Time) {
 	bound := d.foldGen
 	for id, n := range d.nodes {
 		if id == d.opts.NodeID {
@@ -230,10 +223,6 @@ func (d *Disk) gcLocked(now time.Time, legacySafe bool) {
 			delete(d.segCurs, wf.name)
 		}
 	}
-	if legacySafe {
-		// Best-effort GC: a surviving legacy WAL is retried next round.
-		_ = d.fs.Remove(filepath.Join(d.opts.Dir, legacyWAL))
-	}
 }
 
 // recomputeLogBytesLocked re-derives the compaction trigger's byte
@@ -243,9 +232,6 @@ func (d *Disk) recomputeLogBytesLocked() {
 	var sum int64
 	for _, wf := range d.scanWALDir() {
 		sum += wf.size
-	}
-	if fi, err := d.fs.Stat(filepath.Join(d.opts.Dir, legacyWAL)); err == nil {
-		sum += fi.Size()
 	}
 	d.logBytes = sum
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +18,6 @@ type Options struct {
 	// Dir is the data directory (created if missing). Layout:
 	//
 	//	wal/           segmented record log (see segment.go)
-	//	wal.log        pre-segmentation log, replayed once and retired
 	//	snapshot.json  last compaction's full state
 	//	results/       spilled result bodies, one <content-key>.json each
 	Dir string
@@ -117,12 +115,6 @@ type Disk struct {
 
 	reloading  bool
 	compacting bool
-	// legacySafe records that the loaded/written snapshot is
-	// segmentation-era (it carries an exact replay-resume position), so
-	// the legacy wal.log is fully superseded and may be deleted.
-	// legacyExisted records whether wal.log was present at replay.
-	legacySafe    bool
-	legacyExisted bool
 	// roundClaim is the winning epoch claim of the current generation's
 	// compaction round (nil when unclaimed).
 	roundClaim *epochClaim
@@ -201,7 +193,6 @@ type (
 // of the fold position (Epoch, Off). Spilled results appear in
 // ResultRefs only; their bodies stay in results/.
 type snapshot struct {
-	LSN        int64                      `json:"lsn,omitempty"`  // pre-shared-era cutoff
 	LSNs       map[string]int64           `json:"lsns,omitempty"` // per-node cutoff
 	Epoch      int64                      `json:"epoch,omitempty"`
 	Off        int64                      `json:"off,omitempty"`      // manifest bytes consumed in Epoch
@@ -231,12 +222,6 @@ func Open(opts Options) (*Disk, error) {
 		// sealed sentinel would prove nothing (flock_other.go).
 		return nil, fmt.Errorf("store: shared mode (NodeID) requires flock(2), unsupported on this platform")
 	}
-	if err := opts.FS.MkdirAll(filepath.Join(opts.Dir, resDir), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", classify(err))
-	}
-	if err := opts.FS.MkdirAll(filepath.Join(opts.Dir, walDirName), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", classify(err))
-	}
 	d := &Disk{
 		opts:      opts,
 		fs:        opts.FS,
@@ -254,34 +239,28 @@ func Open(opts Options) (*Disk, error) {
 		nextLSN:   1,
 		foldGen:   1,
 	}
+	// Both format checks run before the first write, so a refused
+	// directory is left exactly as it was found.
+	legacy := filepath.Join(opts.Dir, legacyWAL)
+	if _, err := d.fs.Stat(legacy); err == nil {
+		return nil, corruptErr(fmt.Errorf("store: %s is a pre-segmentation log, a format no longer read", legacy))
+	}
+	if err := d.replaySnapshot(); err != nil {
+		return nil, err
+	}
+	for _, sub := range []string{resDir, walDirName} {
+		if err := d.fs.MkdirAll(filepath.Join(opts.Dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", classify(err))
+		}
+	}
 	if !d.shared {
 		// Crash leftovers are only safely removable with exclusive
 		// access: in shared mode a *.tmp or an unreferenced spill file
 		// may be a live peer's write in flight.
 		dropTempFiles(d.fs, opts.Dir)
 	}
-	if err := d.replaySnapshot(); err != nil {
-		return nil, err
-	}
-	if err := d.replayLegacyLocked(); err != nil {
-		return nil, err
-	}
 	if err := d.foldLocked(); err != nil {
 		return nil, err
-	}
-	// GC race: an old-format snapshot was read, then a compactor's
-	// round replaced it and a later round deleted wal.log before we got
-	// to it. The segmented files prove the directory has moved on —
-	// reload from the (now segmentation-era) snapshot.
-	if !d.legacySafe && !d.legacyExisted {
-		for _, wf := range d.scanWALDir() {
-			if wf.manifest {
-				if err := d.reloadLocked(); err != nil {
-					return nil, err
-				}
-				break
-			}
-		}
 	}
 	if n := d.lsns[opts.NodeID] + 1; n > d.nextLSN {
 		d.nextLSN = n
@@ -364,6 +343,12 @@ func (d *Disk) replaySnapshot() error {
 		// drop state.
 		return corruptErr(fmt.Errorf("store: corrupt %s: %v", snapName, err))
 	}
+	if snap.Epoch <= 0 {
+		// Every snapshot this code writes is stamped with its fold
+		// epoch (>= 1); one without predates the segmented log and has
+		// no fold position to resume from.
+		return corruptErr(fmt.Errorf("store: %s has no epoch: a pre-segmentation snapshot, a format no longer read", filepath.Join(d.opts.Dir, snapName)))
+	}
 	d.snapBytes = int64(len(data))
 	for _, rec := range snap.Jobs {
 		d.jobs[rec.ID] = rec
@@ -390,120 +375,25 @@ func (d *Disk) replaySnapshot() error {
 	for _, log := range snap.Events {
 		d.stats.RecordsReplayed += int64(len(log))
 	}
-	// Pre-shared-era snapshots carry a single LSN: those records were
-	// all written by the exclusive (empty-named) writer.
-	if snap.LSNs == nil && snap.LSN > 0 {
-		snap.LSNs = map[string]int64{"": snap.LSN}
-	}
 	for node, lsn := range snap.LSNs {
 		d.snapLSNs[node] = lsn
 		if lsn > d.lsns[node] {
 			d.lsns[node] = lsn
 		}
 	}
-	if snap.Epoch > 0 {
-		// Segmentation-era snapshot: resume folding at the exact
-		// position it was written (applyClaim is order-sensitive, so an
-		// approximate resume would diverge) and seed each still-live
-		// segment's cursor. The cursor LSN is the node's snapshot
-		// cutoff: marks at or below it acknowledge records the snapshot
-		// already holds.
-		d.foldGen = snap.Epoch
-		d.foldOff = snap.Off
-		d.legacySafe = true
-		for name, off := range snap.SegOffs {
-			wf, ok := parseWALFile(name)
-			if !ok || wf.manifest || wf.sentinel {
-				continue
-			}
-			d.segCurs[name] = &segCursor{off: off, lsn: d.snapLSNs[wf.node]}
+	// Resume folding at the exact position the snapshot was written
+	// (applyClaim is order-sensitive, so an approximate resume would
+	// diverge) and seed each still-live segment's cursor. The cursor
+	// LSN is the node's snapshot cutoff: marks at or below it
+	// acknowledge records the snapshot already holds.
+	d.foldGen = snap.Epoch
+	d.foldOff = snap.Off
+	for name, off := range snap.SegOffs {
+		wf, ok := parseWALFile(name)
+		if !ok || wf.manifest || wf.sentinel {
+			continue
 		}
-	}
-	return nil
-}
-
-// replayLegacyLocked applies the pre-segmentation wal.log, if present.
-// Exclusive handles keep the strict legacy semantics — a torn tail is
-// truncated away, mid-log corruption of acknowledged state is refused —
-// while shared handles skip unreadable frames (truncating a file other
-// live nodes replay would be destructive). The file itself is retired
-// by the compactor once a segmentation-era snapshot fully covers it.
-func (d *Disk) replayLegacyLocked() error {
-	path := filepath.Join(d.opts.Dir, legacyWAL)
-	f, err := d.fs.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", classify(err))
-	}
-	// Read-only handle: nothing to lose on close failure.
-	defer func() { _ = f.Close() }()
-	d.legacyExisted = true
-	br := bufio.NewReader(f)
-	var good int64 // byte offset of the end of the last intact record
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("store: reading %s: %w", legacyWAL, err)
-		}
-		if err == io.EOF && line == "" {
-			break
-		}
-		ent, ok := parseWALLine(line, err == nil)
-		if !ok {
-			// A prior shared-mode writer may have died mid-append with
-			// a peer appending right after: the torn bytes and the
-			// peer's intact frame then share one "line". Recover the
-			// glued frame before judging the log corrupt.
-			if gent, gok := recoverGluedFrame(line, err == nil); gok {
-				d.stats.SkippedFrames++
-				good += int64(len(line))
-				d.noteLSN(gent)
-				if d.applyStale(gent) {
-					continue
-				}
-				if aerr := d.applyEntry(gent); aerr != nil {
-					return aerr
-				}
-				d.stats.RecordsReplayed++
-				continue
-			}
-			if d.shared {
-				d.stats.SkippedFrames++
-				if err == io.EOF {
-					break
-				}
-				good += int64(len(line))
-				continue
-			}
-			// Distinguish a torn tail from mid-log damage: after a true
-			// tear nothing further can parse (appends only ever follow
-			// an Open that already truncated the tear away).
-			for {
-				rest, rerr := br.ReadString('\n')
-				if _, ok := parseWALLine(rest, rerr == nil); ok {
-					return corruptErr(fmt.Errorf("store: corrupt record mid-%s at byte %d (intact records follow — refusing to drop acknowledged state)", legacyWAL, good))
-				}
-				if rerr != nil {
-					break
-				}
-			}
-			d.stats.TruncatedTail = true
-			if terr := d.fs.Truncate(path, good); terr != nil {
-				return fmt.Errorf("store: truncating torn tail: %w", classify(terr))
-			}
-			break
-		}
-		good += int64(len(line))
-		d.noteLSN(ent)
-		if d.applyStale(ent) {
-			continue // predates the snapshot
-		}
-		if aerr := d.applyEntry(ent); aerr != nil {
-			return aerr
-		}
-		d.stats.RecordsReplayed++
+		d.segCurs[name] = &segCursor{off: off, lsn: d.snapLSNs[wf.node]}
 	}
 	return nil
 }
@@ -940,9 +830,6 @@ func (d *Disk) Stats() Stats {
 		} else {
 			segs++
 		}
-	}
-	if fi, err := d.fs.Stat(filepath.Join(d.opts.Dir, legacyWAL)); err == nil {
-		walBytes += fi.Size()
 	}
 	st.Epoch = d.foldGen
 	st.SegmentsLive = segs

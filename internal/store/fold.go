@@ -159,9 +159,9 @@ func (d *Disk) foldGenPass() (bool, error) {
 				continue
 			}
 			if d.strictFold() {
-				// Distinguish a torn tail from mid-log damage, as the
-				// legacy replay does: after a true tear nothing further
-				// can parse, and a sealed generation can hold no tear.
+				// Distinguish a torn tail from mid-log damage: after a
+				// true tear nothing further can parse, and a sealed
+				// generation can hold no tear.
 				damaged := d.sealedGen(d.foldGen)
 				for !damaged {
 					rest, lerr := d.foldBR.ReadString('\n')
@@ -332,17 +332,12 @@ func (d *Disk) reloadLocked() error {
 	d.lsns = make(map[string]int64)
 	d.snapLSNs = make(map[string]int64)
 	d.roundClaim = nil
-	d.legacySafe = false
-	d.legacyExisted = false
 	d.foldGen = 1
 	d.foldOff = 0
 	// Consumers holding change cursors must resync: the rebuild may
 	// drop records without individual tombstone notes.
 	d.changes.invalidate()
 	if err := d.replaySnapshot(); err != nil {
-		return err
-	}
-	if err := d.replayLegacyLocked(); err != nil {
 		return err
 	}
 	if err := d.foldLocked(); err != nil {

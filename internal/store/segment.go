@@ -31,7 +31,7 @@ import (
 
 const (
 	walDirName  = "wal"
-	legacyWAL   = "wal.log" // pre-segmentation single shared log
+	legacyWAL   = "wal.log" // pre-segmentation single log: Open refuses it
 	manifestTag = "manifest"
 	sealedExt   = "sealed"
 	logExt      = "log"

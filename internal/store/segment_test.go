@@ -2,11 +2,13 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ import (
 // This file tests the segmented WAL's online machinery: compaction
 // rounds racing live writers, crashes inside a compaction round
 // (mid-manifest-swap, mid-seal, stale epoch claims), generation GC,
-// incremental refresh, and the legacy single-file migration path.
+// incremental refresh, and the refusal of pre-segmentation directories.
 
 // openSharedOpts opens a shared handle with explicit compaction
 // settings (auto-compaction off unless the test asks for it).
@@ -444,96 +446,99 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 	}
 }
 
-// TestLegacyWALMigration hand-writes a pre-segmentation wal.log (the
-// single shared log format of earlier releases) and checks the
-// segmented store replays it, layers new segmented writes on top, and
-// retires the legacy file only once a snapshot covering it has been on
-// disk for a full round (closing the race with a reader that loaded
-// the previous snapshot and is about to read wal.log).
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy := []walEntry{
-		{LSN: 1, Type: "job", Data: mustJSON(t, jobRec(1, "queued"))},
-		{LSN: 2, Type: "job", Data: mustJSON(t, jobRec(2, "done"))},
-		{LSN: 3, Type: "sweep", Data: mustJSON(t, sweepRec(1, "running"))},
-		{LSN: 4, Type: "event", Data: mustJSON(t, eventRec(1, 0))},
-		{LSN: 5, Node: "old", Type: "claim", Data: mustJSON(t, ClaimRecord{
-			JobID: "job-000001", Node: "old", Time: t0, Expires: t0.Add(time.Hour),
-		})},
-	}
-	var buf []byte
-	for _, ent := range legacy {
-		line, err := frameEntry(ent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, line...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWAL), buf, 0o644); err != nil {
+// TestOpenRefusesPreSegmentationDir pins the one-format contract: a
+// directory holding the single-file wal.log, or a snapshot.json without
+// a fold epoch, is refused by Open in exclusive and shared mode alike —
+// as corruption naming the file, with every existing file left
+// byte-for-byte as it was (skipping the old files instead would drop
+// acknowledged records).
+func TestOpenRefusesPreSegmentationDir(t *testing.T) {
+	walLine, err := frameEntry(walEntry{LSN: 1, Type: "job", Data: mustJSON(t, jobRec(1, "queued"))})
+	if err != nil {
 		t.Fatal(err)
 	}
+	oldSnap := mustJSON(t, map[string]any{"lsn": 1, "jobs": []JobRecord{jobRec(1, "queued")}})
+	layouts := []struct {
+		name, file string
+		body       []byte
+	}{
+		{"wal.log", legacyWAL, []byte(walLine)},
+		{"snapshot-without-epoch", snapName, oldSnap},
+	}
+	for _, lay := range layouts {
+		for _, node := range []string{"", "n1"} {
+			lay, node := lay, node
+			t.Run(fmt.Sprintf("%s/node=%q", lay.name, node), func(t *testing.T) {
+				dir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, lay.file), lay.body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				// A crash leftover an exclusive Open would otherwise sweep.
+				if err := os.WriteFile(filepath.Join(dir, snapName+".1.1.tmp"), []byte("{"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				before := treeBytes(t, dir)
+				d, err := Open(Options{Dir: dir, NodeID: node})
+				if err == nil {
+					d.Close()
+					t.Fatal("Open accepted a pre-segmentation directory")
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("error %v does not wrap ErrCorrupt", err)
+				}
+				if !strings.Contains(err.Error(), lay.file) {
+					t.Fatalf("error %q does not name %s", err, lay.file)
+				}
+				if after := treeBytes(t, dir); !reflect.DeepEqual(before, after) {
+					t.Fatalf("refused Open changed the directory:\nbefore %q\nafter  %q", before, after)
+				}
+			})
+		}
+	}
+}
 
+// treeBytes maps every path under dir (directories to "/") to its
+// contents.
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			tree[path] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestOpenReplaysEachRecordOnce checks that a crash-restart of a
+// snapshot-less store replays each logged record exactly once.
+func TestOpenReplaysEachRecordOnce(t *testing.T) {
+	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.Load()
-	if len(got.Jobs) != 2 || len(got.Sweeps) != 1 || len(got.Events["sweep-0001"]) != 1 {
-		t.Fatalf("legacy replay incomplete: %s", dumpState(got))
-	}
-	claims, _ := d.Claims()
-	if claims["job-000001"].Node != "old" {
-		t.Fatalf("legacy claim lost: %v", claims)
-	}
-	// New writes land in the segmented log alongside the legacy file.
-	mustDo(t, d.PutJob(jobRec(3, "queued")))
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err != nil {
-		t.Fatalf("legacy wal.log touched before any compaction: %v", err)
-	}
-	// Round one snapshots (wal.log stays: the previous snapshot did not
-	// cover it); round two retires it.
-	mustDo(t, d.Compact())
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err != nil {
-		t.Fatalf("legacy wal.log deleted one round early: %v", err)
-	}
-	mustDo(t, d.Compact())
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal.log not retired after two rounds: %v", err)
+	for i := int64(1); i <= 5; i++ {
+		mustDo(t, d.PutJob(jobRec(i, "queued")))
 	}
 	d.crash()
-
-	d2, err := Open(Options{Dir: dir})
+	d2, err := Open(Options{Dir: dir, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got2, _ := d2.Load()
-	if len(got2.Jobs) != 3 {
-		t.Fatalf("post-migration replay lost records: %s", dumpState(got2))
-	}
-}
-
-// TestLegacyWALStrictTail pins the exclusive-mode handling of a torn
-// legacy log: the tail is truncated, mid-log damage is refused (the
-// same contract the segmented files honor).
-func TestLegacyWALStrictTail(t *testing.T) {
-	dir := t.TempDir()
-	line, err := frameEntry(walEntry{LSN: 1, Type: "job", Data: mustJSON(t, jobRec(1, "queued"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := line + `deadbeef {"lsn":2,"t":"job","d":{"id":"job-to`
-	if err := os.WriteFile(filepath.Join(dir, legacyWAL), []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	got, _ := d.Load()
-	if len(got.Jobs) != 1 || !d.Stats().TruncatedTail {
-		t.Fatalf("legacy torn tail mishandled: %d jobs, truncated=%v", len(got.Jobs), d.Stats().TruncatedTail)
+	if got := d2.Stats().RecordsReplayed; got != 5 {
+		t.Fatalf("RecordsReplayed = %d after reopening 5 records, want 5", got)
 	}
 }
 

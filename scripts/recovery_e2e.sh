@@ -7,7 +7,10 @@
 #   1. the restarted daemon finishes the sweep on its own, and
 #   2. every member result and the summary are bit-identical to the
 #      same sweep run on an uninterrupted daemon (modulo elapsed_ms,
-#      the one wall-clock field).
+#      the one wall-clock field), and
+#   3. a directory in the retired pre-segmentation format (a single-file
+#      wal.log) is refused: the daemon exits non-zero within seconds,
+#      names wal.log on stderr, and leaves the file unchanged.
 #
 # CI runs this as the `recovery` job; on failure it uploads $WORKDIR
 # (daemon logs + both data directories) as an artifact.
@@ -156,5 +159,31 @@ if ! grep -q '"golden_misr"' "$WORKDIR/payload-recovered.txt"; then
     echo "recovery_e2e: FAIL — no golden signatures in recovered sweep (empty payload?)" >&2
     exit 1
 fi
+
+# --- refusal of a pre-segmentation directory ---------------------------
+# The store reads only the segmented wal/ layout. Skipping an old
+# wal.log would drop acknowledged records, so the daemon must refuse the
+# directory outright and touch nothing in it.
+LEGACY="$WORKDIR/data-legacy"
+mkdir -p "$LEGACY"
+printf '%s\n' 'c35050a3 {"lsn":1,"t":"job","d":{"id":"job-000001","state":"queued"}}' >"$LEGACY/wal.log"
+SUM_BEFORE=$(sha256sum <"$LEGACY/wal.log")
+RC=0
+timeout 5 "$WORKDIR/seqbistd" -addr 127.0.0.1:18743 -workers 1 -sim-workers 1 -data-dir "$LEGACY" \
+    >"$WORKDIR/daemon-legacy.out" 2>"$WORKDIR/daemon-legacy.err" || RC=$?
+if [ "$RC" -eq 0 ] || [ "$RC" -eq 124 ]; then
+    echo "recovery_e2e: FAIL — daemon did not refuse a wal.log directory (exit $RC)" >&2
+    exit 1
+fi
+if ! grep -q 'wal\.log' "$WORKDIR/daemon-legacy.err"; then
+    echo "recovery_e2e: FAIL — refusal does not name wal.log:" >&2
+    cat "$WORKDIR/daemon-legacy.err" >&2
+    exit 1
+fi
+if [ "$(sha256sum <"$LEGACY/wal.log")" != "$SUM_BEFORE" ]; then
+    echo "recovery_e2e: FAIL — refused daemon changed wal.log" >&2
+    exit 1
+fi
+echo "recovery_e2e: pre-segmentation directory refused (exit $RC), wal.log unchanged"
 
 echo "recovery_e2e: PASS — recovered sweep bit-identical to uninterrupted run ($(wc -l <"$WORKDIR/payload-recovered.txt") payload lines compared)"
