@@ -24,8 +24,10 @@ import (
 	"seqbist/internal/faults"
 	"seqbist/internal/fsim"
 	"seqbist/internal/iscas"
+	"seqbist/internal/logic"
 	"seqbist/internal/netlist"
 	"seqbist/internal/service"
+	"seqbist/internal/sim"
 	"seqbist/internal/strategy"
 	"seqbist/internal/tcompact"
 	"seqbist/internal/tfault"
@@ -575,10 +577,11 @@ func BenchmarkFaultSimParallelVsSerial(b *testing.B) {
 		}
 	})
 	b.Run("serialSingle", func(b *testing.B) {
-		single := fsim.NewSingle(c)
+		batch := fsim.NewBatch(c)
+		cands := []fsim.Candidate{fsim.Pack(seq, c.NumPIs()).Whole()}
 		for i := 0; i < b.N; i++ {
 			for _, f := range s.fl {
-				single.Detects(f, seq)
+				batch.FirstDetecting(f, cands, 1, 0)
 			}
 		}
 	})
@@ -606,16 +609,20 @@ func BenchmarkExpansionStream(b *testing.B) {
 	}
 }
 
+// BenchmarkGoodSimulationThroughput measures fault-free simulation
+// (sim.Simulator.Step) of a 256-vector random sequence on s344; a "byte"
+// is one vector.
 func BenchmarkGoodSimulationThroughput(b *testing.B) {
-	s := setupFor(b, "s344")
 	c := iscas.MustLoad("s344")
 	seq := vectors.RandomSequence(xrand.New(2), c.NumPIs(), 256)
-	_ = s
 	b.SetBytes(int64(seq.Len()))
-	sim := fsim.NewSingle(c)
-	f := faults.CollapsedUniverse(c)[0]
+	s := sim.New(c)
+	po := make([]logic.Value, c.NumPOs())
 	for i := 0; i < b.N; i++ {
-		sim.Detects(f, seq)
+		state := s.InitialState()
+		for _, vec := range seq {
+			s.Step(state, vec, po)
+		}
 	}
 }
 
@@ -629,6 +636,9 @@ func BenchmarkATPGRound(b *testing.B) {
 	}
 }
 
+// BenchmarkT0Compaction measures vector-restoration compaction of the
+// seed-1 s298 ATPG sequence. It reports the faults the compacted T0
+// detects and its length, both deterministic.
 func BenchmarkT0Compaction(b *testing.B) {
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
@@ -637,9 +647,13 @@ func BenchmarkT0Compaction(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var t0 vectors.Sequence
 	for i := 0; i < b.N; i++ {
-		tcompact.Compact(c, fl, gen.Seq)
+		t0, _ = tcompact.Compact(c, fl, gen.Seq)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(fsim.Run(c, fl, t0).NumDetected), "detected")
+	b.ReportMetric(float64(t0.Len()), "len")
 }
 
 func benchName(prefix string, v int) string {
@@ -705,21 +719,23 @@ func BenchmarkFaultSimEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultSimSingle measures the two-machine scalar simulator in
-// Procedure 2's access pattern: one target fault checked against many
-// candidate sequences.
+// BenchmarkFaultSimSingle measures one two-machine (fault-free plus one
+// faulty) simulation: a one-candidate Batch pass checking one fault
+// against one 100-vector sequence, as T0 compaction's restoration search
+// and Procedure 2 do per lane.
 func BenchmarkFaultSimSingle(b *testing.B) {
 	for _, name := range []string{"s1423", "s5378"} {
 		c := iscas.MustLoad(name)
 		fl := faults.CollapsedUniverse(c)
 		f := fl[len(fl)/2]
 		seq := vectors.RandomSequence(xrand.New(4), c.NumPIs(), 100)
-		single := fsim.NewSingle(c)
+		batch := fsim.NewBatch(c)
+		cands := []fsim.Candidate{fsim.Pack(seq, c.NumPIs()).Whole()}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			det := 0
 			for i := 0; i < b.N; i++ {
-				if ok, _ := single.Detects(f, seq); ok {
+				if batch.FirstDetecting(f, cands, 1, 0) == 0 {
 					det = 1
 				} else {
 					det = 0

@@ -122,10 +122,9 @@ func (s *Session) DetectsFault(f faults.Fault) bool {
 	if len(s.golden) != len(s.set) {
 		panic("bist: DetectsFault before RunGolden")
 	}
-	single := fsim.NewSingle(s.c)
 	for i := range s.set {
 		var misr MISR
-		trace := single.POTrace(f, s.expansions[i])
+		trace := fsim.POTrace(s.c, f, s.expansions[i])
 		for u, po := range trace {
 			misr.Shift(po, s.masks[i][u])
 		}

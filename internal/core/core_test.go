@@ -83,9 +83,10 @@ func TestCoverageAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d: missed %v", seed, missed)
 		}
 		// Every selected sequence's expansion detects its own target.
-		single := fsim.NewSingle(c)
+		b := fsim.NewBatch(c)
 		for _, s := range res.Set {
-			if ok, _ := single.Detects(fl[s.TargetFault], expand.Expand(s.Seq, cfg.N)); !ok {
+			stored := fsim.Pack(s.Seq, c.NumPIs()).Whole()
+			if b.FirstDetecting(fl[s.TargetFault], []fsim.Candidate{stored}, cfg.N, expand.AllOps) != 0 {
 				t.Errorf("seed %d: sequence fails to detect its target %s",
 					seed, fl[s.TargetFault].Name(c))
 			}

@@ -18,18 +18,29 @@ import (
 )
 
 // serialOracle is Procedure 2 one candidate at a time: every window and
-// every omission trial is one fsim.Single call over the materialized
-// expansion. It is the reference the candidate-parallel path must match
-// bit for bit — the same selections and the same trial count — and it
-// shares the selector's T0 simulation, random stream, and configuration.
+// every omission trial is one run of a one-fault fsim.Engine over the
+// materialized expansion. It is the reference the candidate-parallel path
+// must match bit for bit — the same selections and the same trial count —
+// and it shares the selector's T0 simulation, random stream, and
+// configuration.
 type serialOracle struct {
-	sel    *Selector
-	single *fsim.Single
-	sims   int
+	sel     *Selector
+	engines map[int]*fsim.Engine // one-fault engine per target
+	sims    int
 }
 
 func newSerialOracle(sel *Selector) *serialOracle {
-	return &serialOracle{sel: sel, single: fsim.NewSingle(sel.c)}
+	return &serialOracle{sel: sel, engines: make(map[int]*fsim.Engine)}
+}
+
+// simulate runs the one-fault engine of target f over seq.
+func (o *serialOracle) simulate(f int, seq vectors.Sequence) fsim.Result {
+	e := o.engines[f]
+	if e == nil {
+		e = fsim.New(o.sel.c, o.sel.fl[f:f+1], fsim.Options{Workers: 1})
+		o.engines[f] = e
+	}
+	return e.Run(seq)
 }
 
 // run is Selector.runTargets with Procedure 2 replaced by the serial
@@ -78,14 +89,14 @@ func (o *serialOracle) run(targ []int) (*Result, error) {
 
 func (o *serialOracle) detects(f int, s vectors.Sequence) bool {
 	o.sims++
-	ok, _ := o.single.Detects(o.sel.fl[f], expand.Compose(s, o.sel.cfg.N, o.sel.cfg.expandOps()))
-	return ok
+	return o.simulate(f, expand.Compose(s, o.sel.cfg.N, o.sel.cfg.expandOps())).Detected[0]
 }
 
 func (o *serialOracle) find(f int) (vectors.Sequence, int, error) {
 	sel := o.sel
-	det, udet := o.single.Detects(sel.fl[f], sel.t0)
-	if !det {
+	r := o.simulate(f, sel.t0)
+	udet := r.DetTime[0]
+	if !r.Detected[0] {
 		return nil, 0, fmt.Errorf("fault %d not detected by T0", f)
 	}
 	ustart := udet
@@ -415,9 +426,9 @@ func oracleVerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, se
 
 // gatesOf returns the package-global gate evaluations f performs.
 func gatesOf(f func()) int64 {
-	before := fsim.GatesEvaluated()
+	before := fsim.Stats().GatesEvaluated
 	f()
-	return fsim.GatesEvaluated() - before
+	return fsim.Stats().GatesEvaluated - before
 }
 
 func sameSelected(a, b []Selected) bool {

@@ -10,11 +10,16 @@ package fsim
 // simulations for about the cost of one scalar step. Lane inputs are
 // packed straight from the stored vectors through the expansion's index
 // map (expansions are never materialized) and bit-transposed into
-// per-input words each cycle. The faulty machine is the same
-// active-region propagation as Single, per word: a signal is diverged
-// when it differs from the fault-free word in some live lane, and a cycle
-// with no diverged flip-flop and an inactive fault site in every live
-// lane costs one fault-free evaluation and nothing else.
+// per-input words each cycle. The faulty machine is propagated
+// event-driven from the injection site and the diverged flip-flops,
+// reading every undiverged signal from the fault-free machine: a signal
+// is diverged when it differs from the fault-free word in some live lane,
+// and a cycle with no diverged flip-flop and an inactive fault site in
+// every live lane costs one fault-free evaluation and nothing else.
+//
+// One candidate is the plain two-machine (fault-free plus one faulty)
+// simulation of one sequence. T0 compaction (package tcompact) runs its
+// nested restoration candidates through the same first-success search.
 
 import (
 	"fmt"
@@ -145,6 +150,38 @@ type cursor struct {
 	expandedLen int
 }
 
+// injection is the decoded forcing site of one fault.
+type injection struct {
+	stemSig    netlist.SignalID // forced stem signal, or -1
+	branchGate int32            // gate with a forced input pin, or -1
+	branchPin  int32
+	branchDFF  int32 // flip-flop with a forced D pin, or -1
+	seedGate   int32 // gate to queue unconditionally, or -1
+	stuck      logic.Value
+}
+
+// decodeFault locates the forcing site of f in c.
+func decodeFault(c *netlist.Circuit, f faults.Fault) injection {
+	inj := injection{stemSig: -1, branchGate: -1, branchPin: -1, branchDFF: -1, seedGate: -1, stuck: f.Stuck}
+	if f.IsStem() {
+		inj.stemSig = f.Signal
+		if d := c.Driver(f.Signal); d >= 0 {
+			inj.seedGate = int32(d)
+		}
+		return inj
+	}
+	con := c.Consumers(f.Signal)[f.Consumer]
+	switch con.Kind {
+	case netlist.ConsumerGate:
+		inj.branchGate = con.Index
+		inj.branchPin = con.Pin
+		inj.seedGate = con.Index
+	case netlist.ConsumerDFF:
+		inj.branchDFF = con.Index
+	}
+	return inj
+}
+
 // Batch is a candidate-parallel two-machine simulator: it finds, for one
 // fault, the first of up to MaxBatch candidate stored sequences whose
 // expansion detects the fault. It is allocation-free after creation and
@@ -157,8 +194,8 @@ type Batch struct {
 	good      []logic.Word // fault-free values of the current cycle
 	goodState []logic.Word
 
-	// Faulty-machine sparse state, as in Single: bad/badState entries
-	// are valid only where stamped/listed.
+	// Faulty-machine sparse state: bad/badState entries are valid only
+	// where stamped/listed.
 	bad      []logic.Word
 	badState []logic.Word
 	divDFF   []int32
@@ -207,10 +244,10 @@ func NewBatch(c *netlist.Circuit) *Batch {
 
 // FirstDetecting returns the lowest index j such that the expansion of
 // cands[j] under (n, ops), applied from the all-unknown state, detects
-// fault f, or -1 when none does. It is exactly the candidate a serial
-// loop of Single.Detects calls over expand.Compose(cands[j], n, ops)
-// would accept first. It stops as soon as that index is known: every
-// lower lane has run out without detecting.
+// fault f, or -1 when none does: the candidate a serial loop simulating
+// expand.Compose(cands[j], n, ops) for j = 0, 1, ... would accept first.
+// It stops as soon as that index is known: every lower lane has run out
+// without detecting.
 //
 // The process-wide pattern counter advances by the serial-equivalent
 // count: the vectors those serial calls, in order up to the accepted
@@ -481,8 +518,7 @@ func (b *Batch) activate(sig int32, v logic.Word) {
 
 // stepFaulty advances the faulty machine one cycle by active-region
 // propagation from the injection site and the diverged flip-flops,
-// accumulating primary-output detections into b.det. It is Single's
-// per-cycle body with every value widened to a word.
+// accumulating primary-output detections into b.det.
 func (b *Batch) stepFaulty(f faults.Fault, inj injection) {
 	c, csr, goodVals := b.c, b.csr, b.good
 	stuck := logic.Broadcast(inj.stuck)

@@ -168,23 +168,34 @@ func faultClasses(c *netlist.Circuit, per int) map[string][]faults.Fault {
 }
 
 // serialFirst is the reference: the first candidate whose materialized
-// expansion Single detects f on, or -1.
-func serialFirst(s *Single, f faults.Fault, pcs []packedCandidate, n int, ops expand.Ops) int {
+// expansion a one-fault Engine detects f on, or -1, and the patterns a
+// serial loop with early exit on detection applies up to it: the earlier
+// candidates' expanded lengths plus the accepted one's detection time
+// plus one. Both engines (default and FullEvaluation) must agree.
+func serialFirst(t *testing.T, engs [2]*Engine, pcs []packedCandidate, n int, ops expand.Ops) (int, int64) {
+	t.Helper()
+	var patterns int64
 	for j, pc := range pcs {
-		if ok, _ := s.Detects(f, expand.Compose(pc.stored, n, ops)); ok {
-			return j
+		seq := expand.Compose(pc.stored, n, ops)
+		r := engs[0].Run(seq)
+		if full := engs[1].Run(seq); full.DetTime[0] != r.DetTime[0] {
+			t.Fatalf("candidate %d: engine detects at %d, full evaluation at %d", j, r.DetTime[0], full.DetTime[0])
 		}
+		if r.Detected[0] {
+			return j, patterns + int64(r.DetTime[0]+1)
+		}
+		patterns += int64(seq.Len())
 	}
-	return -1
+	return -1, patterns
 }
 
-// TestBatchMatchesSingle is the detector's contract: for every fault
+// TestBatchMatchesEngine is the detector's contract: for every fault
 // class, FirstDetecting returns exactly the candidate a serial loop of
-// Single.Detects calls accepts first, and advances the pattern counter
-// by the same serial-equivalent count, on lanes of unequal length with
+// one-fault Engine runs accepts first, and advances the pattern counter
+// by that loop's serial-equivalent count, on lanes of unequal length with
 // partly-X inputs, window and omission candidate shapes, and 1 to 64
 // lanes.
-func TestBatchMatchesSingle(t *testing.T) {
+func TestBatchMatchesEngine(t *testing.T) {
 	type setup struct {
 		c       *netlist.Circuit
 		opsList []expand.Ops
@@ -207,7 +218,6 @@ func TestBatchMatchesSingle(t *testing.T) {
 	for _, st := range setups {
 		c := st.c
 		rng := xrand.New(uint64(c.NumGates()))
-		s := NewSingle(c)
 		b := NewBatch(c)
 		t0 := xheavySequence(rng, c.NumPIs(), 40)
 		for i := range t0 {
@@ -228,6 +238,10 @@ func TestBatchMatchesSingle(t *testing.T) {
 		for class, fl := range faultClasses(c, 2) {
 			seen[class] = true
 			for _, f := range fl {
+				engs := [2]*Engine{
+					New(c, []faults.Fault{f}, Options{}),
+					New(c, []faults.Fault{f}, Options{FullEvaluation: true}),
+				}
 				for _, ops := range st.opsList {
 					for _, n := range []int{1, 2} {
 						for _, sh := range shapes {
@@ -236,14 +250,12 @@ func TestBatchMatchesSingle(t *testing.T) {
 							for j := range pcs {
 								cands[j] = pcs[j].cand
 							}
+							want, serialPatterns := serialFirst(t, engs, pcs, n, ops)
 							before := PatternsApplied()
-							want := serialFirst(s, f, pcs, n, ops)
-							serialPatterns := PatternsApplied() - before
-							before = PatternsApplied()
 							got := b.FirstDetecting(f, cands, n, ops)
 							batchPatterns := PatternsApplied() - before
 							if got != want {
-								t.Fatalf("%s %s %s ops %04b n=%d %s: FirstDetecting = %d, serial Single = %d",
+								t.Fatalf("%s %s %s ops %04b n=%d %s: FirstDetecting = %d, serial Engine = %d",
 									c.Name, class, f.Name(c), ops, n, shape, got, want)
 							}
 							if batchPatterns != serialPatterns {

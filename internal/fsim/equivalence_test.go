@@ -25,7 +25,7 @@ func TestEquivalentFaultsDetectIdentically(t *testing.T) {
 		classes[res.ClassOf[i]] = append(classes[res.ClassOf[i]], f)
 	}
 
-	single := NewSingle(c)
+	b := NewBatch(c)
 	rng := xrand.New(2024)
 	seqs := []vectors.Sequence{
 		vectors.MustParseSequence("0111 1001 0111 1001 0100 1011 1001 0000 0000 1011"),
@@ -41,12 +41,11 @@ func TestEquivalentFaultsDetectIdentically(t *testing.T) {
 		}
 		multi++
 		for _, seq := range seqs {
-			d0, u0 := single.Detects(members[0], seq)
+			u0 := batchDetTime(b, members[0], seq)
 			for _, f := range members[1:] {
-				d, at := single.Detects(f, seq)
-				if d != d0 || (d && at != u0) {
-					t.Fatalf("equivalent faults diverge on %v: %s (%v,%d) vs %s (%v,%d)",
-						seq, members[0].Name(c), d0, u0, f.Name(c), d, at)
+				if at := batchDetTime(b, f, seq); at != u0 {
+					t.Fatalf("equivalent faults diverge on %v: %s at %d vs %s at %d",
+						seq, members[0].Name(c), u0, f.Name(c), at)
 				}
 			}
 		}
@@ -66,7 +65,7 @@ func TestEquivalentFaultsSynthetic(t *testing.T) {
 	for i, f := range u {
 		classes[res.ClassOf[i]] = append(classes[res.ClassOf[i]], f)
 	}
-	single := NewSingle(c)
+	b := NewBatch(c)
 	seq := vectors.RandomSequence(xrand.New(9), c.NumPIs(), 25)
 	checked := 0
 	for cls, members := range classes {
@@ -74,10 +73,9 @@ func TestEquivalentFaultsSynthetic(t *testing.T) {
 			continue
 		}
 		checked++
-		d0, u0 := single.Detects(members[0], seq)
+		u0 := batchDetTime(b, members[0], seq)
 		for _, f := range members[1:] {
-			d, at := single.Detects(f, seq)
-			if d != d0 || (d && at != u0) {
+			if batchDetTime(b, f, seq) != u0 {
 				t.Fatalf("equivalent faults diverge: %s vs %s", members[0].Name(c), f.Name(c))
 			}
 		}

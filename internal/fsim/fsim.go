@@ -1,6 +1,6 @@
 // Package fsim implements sequential stuck-at fault simulation.
 //
-// Three engines are provided:
+// Two engines are provided:
 //
 //   - Engine (constructed by New with an Options block, see options.go;
 //     the convenience Run wraps it): a parallel-fault simulator packing
@@ -8,15 +8,16 @@
 //     dropping and first-detection-time recording. Engine can carry
 //     machine state across calls, which the ATPG substrate uses to
 //     evaluate candidate subsequences cheaply from the current state.
-//   - Single: a two-machine scalar simulator for one fault with early
-//     exit on detection, allocation-free after creation.
-//   - Batch (batch.go): the candidate-parallel form of Single that
-//     Procedure 2 of the paper runs on. It finds the first of up to 64
-//     candidate stored sequences whose expansion detects one fault,
-//     carrying one candidate's fault-free and faulty machine per word
-//     lane.
+//   - Batch (batch.go): the candidate-parallel two-machine simulator
+//     that Procedure 2 of the paper and T0 compaction run on. It finds
+//     the first of up to 64 candidate stored sequences whose expansion
+//     detects one fault, carrying one candidate's fault-free and faulty
+//     machine per word lane, allocation-free after creation.
 //
-// All three are active-region simulators in the PROOFS tradition:
+// POTrace, a dense scalar simulation of one faulty machine, serves the
+// response analysis of package bist.
+//
+// Both engines are active-region simulators in the PROOFS tradition:
 // faults are packed into groups by structural locality, each group's
 // static active region (the union of its faults' fanout cones, closed
 // through flip-flops — see cone.go) is precomputed, and each time unit
@@ -55,10 +56,10 @@ import (
 
 // patternsApplied counts, process-wide, the input vectors (patterns) the
 // simulation engines have applied: Engine counts each vector once per
-// Extend/Evaluate call (simulating all live faults in parallel), Single
-// counts the vectors of each per-fault simulation, and Batch counts
-// serial-equivalent vectors — what one Single call per candidate, in
-// order up to the accepted one, would have applied — so the total does
+// Extend/Evaluate call (simulating all live faults in parallel), and
+// Batch counts serial-equivalent vectors — what one two-machine
+// simulation per candidate with early exit on detection, in order up to
+// the accepted one, would have applied — so the total does
 // not depend on how many candidates share a pass. It is a raw
 // simulation-throughput measure, not a per-fault-pair count. It feeds the
 // daemon's GET /metrics observability endpoint; the counter is
@@ -92,6 +93,60 @@ func (r Result) Coverage() float64 {
 		return 0
 	}
 	return float64(r.NumDetected) / float64(len(r.Detected))
+}
+
+// POTrace simulates fault f under seq from the all-unknown state and
+// returns the faulty machine's primary-output values at every time unit.
+// It allocates one slice per time unit; it exists for response-compaction
+// analysis (package bist), not for the detection path, and evaluates the
+// faulty machine densely.
+func POTrace(c *netlist.Circuit, f faults.Fault, seq vectors.Sequence) [][]logic.Value {
+	inj := decodeFault(c, f)
+	vals := make([]logic.Value, c.NumSignals())
+	state := make([]logic.Value, c.NumDFFs())
+	for i := range state {
+		state[i] = logic.X
+	}
+	var in []logic.Value
+	trace := make([][]logic.Value, 0, len(seq))
+	for _, vec := range seq {
+		for i, pi := range c.PIs {
+			vals[pi] = vec[i]
+		}
+		for i, ff := range c.DFFs {
+			vals[ff.Q] = state[i]
+		}
+		if inj.stemSig >= 0 && c.Driver(inj.stemSig) < 0 {
+			vals[inj.stemSig] = inj.stuck
+		}
+		for gi := range c.Gates {
+			g := &c.Gates[gi]
+			in = in[:0]
+			for _, sig := range g.In {
+				in = append(in, vals[sig])
+			}
+			if int32(gi) == inj.branchGate {
+				in[inj.branchPin] = inj.stuck
+			}
+			v := sim.EvalGate(g.Type, in)
+			if g.Out == inj.stemSig {
+				v = inj.stuck
+			}
+			vals[g.Out] = v
+		}
+		po := make([]logic.Value, c.NumPOs())
+		for i, sig := range c.POs {
+			po[i] = vals[sig]
+		}
+		trace = append(trace, po)
+		for i, ff := range c.DFFs {
+			state[i] = vals[ff.D]
+			if int32(i) == inj.branchDFF {
+				state[i] = inj.stuck
+			}
+		}
+	}
+	return trace
 }
 
 // Run fault-simulates seq from the all-unknown state against the given
@@ -145,7 +200,7 @@ type Engine struct {
 	goodState []logic.Value
 	goodPO    []logic.Value
 
-	// Pooled non-committing good machine for Evaluate/Peek.
+	// Pooled non-committing good machine for Evaluate.
 	peekSim   *sim.Simulator
 	peekState []logic.Value
 	peekPO    []logic.Value
@@ -579,15 +634,10 @@ func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
 	return newly
 }
 
-// Peek simulates seq from the current state without committing any state
-// or detection bookkeeping, and returns the indices of live faults that
-// seq would newly detect.
-func (e *Engine) Peek(seq vectors.Sequence) []int {
-	newly, _ := e.Evaluate(seq)
-	return newly
-}
-
-// Evaluate is Peek plus a search heuristic: divergence counts the live
+// Evaluate simulates seq from the current state without committing any
+// state or detection bookkeeping, and returns the indices of live faults
+// that seq would newly detect. Its second result is a search heuristic:
+// divergence counts the live
 // undetected faults whose machine state, after seq, definitely differs
 // from the fault-free state in at least one flip-flop. Simulation-based
 // test generators (the GA fitness of STRATEGATE and relatives) use this
@@ -711,9 +761,6 @@ func (e *Engine) NumDetected() int { return e.numDet }
 
 // Now returns the number of time units simulated so far.
 func (e *Engine) Now() int { return e.now }
-
-// GoodState returns the current fault-free flip-flop state (live view).
-func (e *Engine) GoodState() []logic.Value { return e.goodState }
 
 // trailingZeros returns the index of the lowest set bit of x (x != 0).
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

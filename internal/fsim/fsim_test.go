@@ -78,13 +78,14 @@ func TestPrefixMonotonicity(t *testing.T) {
 	}
 }
 
-// TestSingleMatchesParallel cross-checks the scalar early-exit simulator
-// against the 64-lane parallel simulator on every s27 fault and on random
-// sequences.
+// TestSingleMatchesParallel cross-checks single-fault two-machine
+// simulation (Batch, one candidate for the verdict and one prefix per
+// lane for the detection time) against the 64-lane parallel-fault Engine
+// on every s27 fault and on random sequences.
 func TestSingleMatchesParallel(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
-	single := NewSingle(c)
+	b := NewBatch(c)
 	rng := xrand.New(99)
 	seqs := []vectors.Sequence{s27T0()}
 	for i := 0; i < 10; i++ {
@@ -93,9 +94,9 @@ func TestSingleMatchesParallel(t *testing.T) {
 	for si, seq := range seqs {
 		par := Run(c, fl, seq)
 		for i, f := range fl {
-			det, at := single.Detects(f, seq)
-			if det != par.Detected[i] || (det && at != par.DetTime[i]) {
-				t.Fatalf("seq %d fault %s: single (%v,%d) vs parallel (%v,%d)",
+			det, at := batchDetects(b, f, seq), batchDetTime(b, f, seq)
+			if det != par.Detected[i] || at != par.DetTime[i] {
+				t.Fatalf("seq %d fault %s: batch (%v,%d) vs parallel (%v,%d)",
 					si, f.Name(c), det, at, par.Detected[i], par.DetTime[i])
 			}
 		}
@@ -105,15 +106,15 @@ func TestSingleMatchesParallel(t *testing.T) {
 func TestSingleMatchesParallelSynthetic(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
-	single := NewSingle(c)
+	b := NewBatch(c)
 	rng := xrand.New(7)
 	seq := vectors.RandomSequence(rng, c.NumPIs(), 40)
 	par := Run(c, fl, seq)
 	// Spot-check a deterministic sample of faults (every 7th).
 	for i := 0; i < len(fl); i += 7 {
-		det, at := single.Detects(fl[i], seq)
-		if det != par.Detected[i] || (det && at != par.DetTime[i]) {
-			t.Fatalf("fault %s: single (%v,%d) vs parallel (%v,%d)",
+		det, at := batchDetects(b, fl[i], seq), batchDetTime(b, fl[i], seq)
+		if det != par.Detected[i] || at != par.DetTime[i] {
+			t.Fatalf("fault %s: batch (%v,%d) vs parallel (%v,%d)",
 				fl[i].Name(c), det, at, par.Detected[i], par.DetTime[i])
 		}
 	}
@@ -142,6 +143,9 @@ func TestIncrementalExtendMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestPeekDoesNotCommit: a look-ahead query (Evaluate; the name keeps the
+// earlier Peek wrapper's) leaves time and detections untouched and predicts
+// exactly what Extend then delivers.
 func TestPeekDoesNotCommit(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
@@ -151,21 +155,24 @@ func TestPeekDoesNotCommit(t *testing.T) {
 	inc.Extend(t0[:2])
 	before := inc.Result()
 
-	peeked := inc.Peek(t0[2:])
+	peeked, div := inc.Evaluate(t0[2:])
+	if div < 0 {
+		t.Fatalf("negative divergence %d", div)
+	}
 	after := inc.Result()
 	for i := range fl {
 		if before.Detected[i] != after.Detected[i] {
-			t.Fatal("Peek changed detection state")
+			t.Fatal("Evaluate changed detection state")
 		}
 	}
 	if inc.Now() != 2 {
-		t.Fatal("Peek advanced time")
+		t.Fatal("Evaluate advanced time")
 	}
 
-	// Peek's prediction must match what Extend then reports.
+	// Evaluate's prediction must match what Extend then reports.
 	newly := inc.Extend(t0[2:])
 	if len(peeked) != len(newly) {
-		t.Fatalf("Peek predicted %d new detections, Extend delivered %d", len(peeked), len(newly))
+		t.Fatalf("Evaluate predicted %d new detections, Extend delivered %d", len(peeked), len(newly))
 	}
 	seen := make(map[int]bool)
 	for _, fi := range peeked {
@@ -173,7 +180,7 @@ func TestPeekDoesNotCommit(t *testing.T) {
 	}
 	for _, fi := range newly {
 		if !seen[fi] {
-			t.Fatalf("Extend detected fault %d that Peek missed", fi)
+			t.Fatalf("Extend detected fault %d that Evaluate missed", fi)
 		}
 	}
 }
@@ -215,12 +222,10 @@ func TestBranchVsStemFaultDiffer(t *testing.T) {
 
 	rng := xrand.New(12345)
 	differ := false
-	single := NewSingle(c)
+	b := NewBatch(c)
 	for i := 0; i < 50 && !differ; i++ {
 		seq := vectors.RandomSequence(rng, c.NumPIs(), 8)
-		d1, u1 := single.Detects(stem, seq)
-		d2, u2 := single.Detects(branch, seq)
-		if d1 != d2 || u1 != u2 {
+		if batchDetTime(b, stem, seq) != batchDetTime(b, branch, seq) {
 			differ = true
 		}
 	}
@@ -269,10 +274,8 @@ z = AND(n, a)
 	// at 1 makes y=1: detected at u=1. The other branch (z = AND(n,a))
 	// stays fault-free, so only the state path differs.
 	seq := vectors.MustParseSequence("1 1 1")
-	single := NewSingle(c2)
-	det, at := single.Detects(dffBranch, seq)
-	if !det || at != 1 {
-		t.Errorf("DFF branch fault: detected=%v at %d, want true at 1", det, at)
+	if at := batchDetTime(NewBatch(c2), dffBranch, seq); at != 1 {
+		t.Errorf("DFF branch fault: detected at %d, want 1", at)
 	}
 	par := Run(c2, []faults.Fault{dffBranch}, seq)
 	if !par.Detected[0] || par.DetTime[0] != 1 {
@@ -287,10 +290,8 @@ y = BUFF(a)
 `)
 	a, _ := c.SignalByName("a")
 	f := faults.Fault{Signal: a, Consumer: faults.StemConsumer, Stuck: 1 /* Zero */}
-	single := NewSingle(c)
-	det, at := single.Detects(f, vectors.MustParseSequence("0 1"))
-	if !det || at != 1 {
-		t.Errorf("PI SA0 under input 1: detected=%v at %d, want true at 1", det, at)
+	if at := batchDetTime(NewBatch(c), f, vectors.MustParseSequence("0 1")); at != 1 {
+		t.Errorf("PI SA0 under input 1: detected at %d, want 1", at)
 	}
 }
 
@@ -313,25 +314,25 @@ func TestAccessors(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	inc := New(c, fl, Options{})
-	if len(inc.GoodState()) != c.NumDFFs() {
-		t.Errorf("GoodState length %d", len(inc.GoodState()))
+	if len(inc.goodState) != c.NumDFFs() {
+		t.Errorf("good state length %d", len(inc.goodState))
 	}
 	inc.Extend(s27T0()[:2])
 	// After two vectors of the Table 2 sequence the good state is (0,1,0)
 	// (verified independently in package sim).
-	st := inc.GoodState()
+	st := inc.goodState
 	if st[0].String()+st[1].String()+st[2].String() != "010" {
 		t.Errorf("good state = %v%v%v, want 010", st[0], st[1], st[2])
 	}
 }
 
 func TestPOTraceMatchesDetection(t *testing.T) {
-	// POTrace must show the faulty value diverging exactly where Detects
+	// POTrace must show the faulty value diverging exactly where Batch
 	// reports the first detection.
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	t0 := s27T0()
-	single := NewSingle(c)
+	b := NewBatch(c)
 	good := Run(c, fl, t0)
 	checked := 0
 	for i, f := range fl {
@@ -339,14 +340,14 @@ func TestPOTraceMatchesDetection(t *testing.T) {
 			continue
 		}
 		checked++
-		trace := single.POTrace(f, t0)
+		trace := POTrace(c, f, t0)
 		if len(trace) != t0.Len() {
 			t.Fatalf("trace length %d", len(trace))
 		}
 		// At the detection time at least one PO must be the definite
 		// complement of the fault-free value; before it, none may be.
-		det, at := single.Detects(f, t0)
-		if !det || at != good.DetTime[i] {
+		at := batchDetTime(b, f, t0)
+		if at != good.DetTime[i] {
 			t.Fatalf("fault %d inconsistency", i)
 		}
 		goodTrace := simGoodPOs(c, t0)
@@ -371,7 +372,7 @@ func TestPOTraceMatchesDetection(t *testing.T) {
 
 func TestManyFaultsAcrossGroupBoundary(t *testing.T) {
 	// s298's collapsed universe exceeds 64 faults, exercising multi-group
-	// bookkeeping; verify group-boundary faults agree with Single.
+	// bookkeeping; verify group-boundary faults agree with Batch.
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
 	if len(fl) <= 130 {
@@ -379,12 +380,11 @@ func TestManyFaultsAcrossGroupBoundary(t *testing.T) {
 	}
 	seq := vectors.RandomSequence(xrand.New(31), c.NumPIs(), 30)
 	par := Run(c, fl, seq)
-	single := NewSingle(c)
+	b := NewBatch(c)
 	for _, i := range []int{0, 63, 64, 65, 127, 128, len(fl) - 1} {
-		det, at := single.Detects(fl[i], seq)
-		if det != par.Detected[i] || (det && at != par.DetTime[i]) {
-			t.Errorf("fault %d (%s): single (%v,%d) vs parallel (%v,%d)",
-				i, fl[i].Name(c), det, at, par.Detected[i], par.DetTime[i])
+		if at := batchDetTime(b, fl[i], seq); at != par.DetTime[i] {
+			t.Errorf("fault %d (%s): batch detects at %d, parallel at %d",
+				i, fl[i].Name(c), at, par.DetTime[i])
 		}
 	}
 }
@@ -434,7 +434,7 @@ func TestEngineRunReuse(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
-	if got := New(c, fl, Options{}).Options(); got.Workers != 1 || got.FullEvaluation {
+	if got := New(c, fl, Options{}).opts; got.Workers != 1 || got.FullEvaluation {
 		t.Fatalf("normalized zero Options = %+v, want Workers=1", got)
 	}
 	mustPanic := func(name string, opts Options) {

@@ -96,9 +96,6 @@ func New(c *netlist.Circuit, fl []faults.Fault, opts Options) *Engine {
 	return e
 }
 
-// Options returns the engine's (normalized) configuration.
-func (e *Engine) Options() Options { return e.opts }
-
 // Run simulates seq from the all-unknown initial state and returns the
 // per-fault detection results. Any state carried from earlier calls is
 // reset first, so Run is safe to call repeatedly — each call is an

@@ -108,7 +108,7 @@ func TestParallelEvaluateMatchesSerial(t *testing.T) {
 func TestParallelismClamp(t *testing.T) {
 	c := iscas.MustLoad("s27")
 	fl := faults.CollapsedUniverse(c)
-	if got := New(c, fl, Options{Workers: -3}).Options().Workers; got != 1 {
+	if got := New(c, fl, Options{Workers: -3}).opts.Workers; got != 1 {
 		t.Fatalf("normalized Workers for -3 = %d, want 1", got)
 	}
 	seq := vectors.RandomSequence(xrand.New(1), c.NumPIs(), 30)

@@ -69,26 +69,38 @@ func TestDetectionSubsetUnderConcatenation(t *testing.T) {
 	}
 }
 
-// TestEvaluateDivergenceNonNegative and consistency with Peek.
+// TestEvaluateMatchesPeek: repeated look-ahead queries on one engine agree
+// (the query is Evaluate; the name keeps the earlier Peek wrapper's), the
+// divergence is non-negative, and from reset the predicted set is exactly
+// what a committing Run detects.
 func TestEvaluateMatchesPeek(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	inc := New(c, fl, Options{})
 	seq := vectors.RandomSequence(xrand.New(5), c.NumPIs(), 10)
-	newlyA, div := inc.Evaluate(seq)
-	newlyB := inc.Peek(seq)
-	if len(newlyA) != len(newlyB) {
-		t.Fatalf("Evaluate found %d, Peek %d", len(newlyA), len(newlyB))
+	newlyA, divA := inc.Evaluate(seq)
+	newlyB, divB := inc.Evaluate(seq)
+	if len(newlyA) != len(newlyB) || divA != divB {
+		t.Fatalf("repeated Evaluate: (%d,%d) then (%d,%d)", len(newlyA), divA, len(newlyB), divB)
 	}
-	if div < 0 {
-		t.Fatalf("negative divergence %d", div)
+	if divA < 0 {
+		t.Fatalf("negative divergence %d", divA)
+	}
+	want := Run(c, fl, seq)
+	if len(newlyA) != want.NumDetected {
+		t.Fatalf("Evaluate found %d, Run detects %d", len(newlyA), want.NumDetected)
+	}
+	for _, fi := range newlyA {
+		if !want.Detected[fi] {
+			t.Fatalf("Evaluate reported fault %d that Run does not detect", fi)
+		}
 	}
 }
 
 // TestActiveRegionPropertyRandomNetlists is the randomized differential
 // property: on deterministic pseudo-random circuits of varying shape, the
 // active-region engine must match the full-evaluation reference and the
-// scalar Single simulator over the uncollapsed fault universe (stems,
+// two-machine Batch simulator over the uncollapsed fault universe (stems,
 // gate-pin branches, and D-pin branches) under X-heavy stimuli.
 func TestActiveRegionPropertyRandomNetlists(t *testing.T) {
 	shapes := []iscas.Spec{
@@ -108,14 +120,13 @@ func TestActiveRegionPropertyRandomNetlists(t *testing.T) {
 			diffCheck(t, spec.Name, c, fl, seq, 1)
 
 			// Cross-check a deterministic sample of faults against the
-			// scalar two-machine simulator.
+			// two-machine simulator.
 			active := Run(c, fl, seq)
-			single := NewSingle(c)
+			b := NewBatch(c)
 			for i := trial; i < len(fl); i += 9 {
-				det, at := single.Detects(fl[i], seq)
-				if det != active.Detected[i] || (det && at != active.DetTime[i]) {
-					t.Fatalf("%s trial %d fault %s: single (%v,%d) vs parallel (%v,%d)",
-						spec.Name, trial, fl[i].Name(c), det, at, active.Detected[i], active.DetTime[i])
+				if at := batchDetTime(b, fl[i], seq); at != active.DetTime[i] {
+					t.Fatalf("%s trial %d fault %s: batch detects at %d, parallel at %d",
+						spec.Name, trial, fl[i].Name(c), at, active.DetTime[i])
 				}
 			}
 		}

@@ -55,22 +55,6 @@ func Stats() SimStats {
 	}
 }
 
-// GatesEvaluated returns the cumulative gate evaluations performed by the
-// parallel-fault engine.
-func GatesEvaluated() int64 { return gatesEvaluated.Load() }
-
-// GatesSkipped returns the cumulative gate evaluations avoided by cone
-// restriction, activity gating, and quiescence.
-func GatesSkipped() int64 { return gatesSkipped.Load() }
-
-// GroupsQuiescent returns the cumulative group-time-unit evaluations
-// skipped by the quiescence check.
-func GroupsQuiescent() int64 { return groupsQuiescent.Load() }
-
-// GroupsEscalated returns the cumulative count of fault groups escalated
-// to full-netlist evaluation by the activity heuristic.
-func GroupsEscalated() int64 { return groupsEscalated.Load() }
-
 // flushInto adds a scratch's locally accumulated counters to the
 // process-wide gauges and the owning engine's private counters, then
 // zeroes the local counts. The parallel scheduler calls it after its

@@ -33,7 +33,9 @@ type Stats struct {
 	CompactedLen int
 	// Targets is the number of faults detected by the original sequence.
 	Targets int
-	// Restorations counts single-fault restoration simulations (cost).
+	// Restorations counts restoration candidates simulated (cost),
+	// serial-equivalently: the candidates a one-at-a-time loop would
+	// simulate up to the first detecting one.
 	Restorations int
 }
 
@@ -84,7 +86,10 @@ func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequ
 
 	kept := make([]bool, t0.Len())
 	covered := make([]bool, len(fl))
-	single := fsim.NewSingle(c)
+	batch := fsim.NewBatch(c)
+	var restore []int
+	var seqs []vectors.Sequence
+	var cands []fsim.Candidate
 
 	restored := func() vectors.Sequence {
 		seq := make(vectors.Sequence, 0, t0.Len())
@@ -104,39 +109,44 @@ func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequ
 			return nil, st, ErrInterrupted
 		}
 		// Restore vectors backwards from udet(fi) until the kept sequence
-		// detects fi. Termination: once every vector of T0[0, udet] is
-		// restored, the kept sequence has T0[0, udet] as a prefix, which
-		// detects fi by definition of udet.
+		// detects fi, in doubling chunks: the candidates are the kept set,
+		// then the kept set plus the next 1, 2, 4, ... unkept vectors at
+		// or below udet. Chunks instead of single vectors keep compaction
+		// of long sequences tractable, at the cost of occasionally
+		// restoring a few vectors more than strictly necessary. The last
+		// candidate has T0[0, udet] as a prefix and so detects fi by
+		// definition of udet. One Batch pass finds the first detecting
+		// candidate; at most log2(udet+1)+2 of them always fit.
 		udet := base.DetTime[fi]
-		cur := restored()
-		st.Restorations++
-		det, _ := single.Detects(fl[fi], cur)
-		u := udet
-		// Restore in doubling chunks: one verification simulation per
-		// chunk instead of per vector keeps compaction of long sequences
-		// tractable, at the cost of occasionally restoring a few vectors
-		// more than strictly necessary.
-		chunk := 1
-		for !det {
-			added := 0
-			for added < chunk {
-				for u >= 0 && kept[u] {
-					u--
-				}
-				if u < 0 {
-					break
-				}
-				kept[u] = true
-				added++
+		restore = restore[:0]
+		for u := udet; u >= 0; u-- {
+			if !kept[u] {
+				restore = append(restore, u)
 			}
-			if added == 0 {
-				break
-			}
-			cur = restored()
-			st.Restorations++
-			det, _ = single.Detects(fl[fi], cur)
-			chunk *= 2
 		}
+		seqs = append(seqs[:0], restored())
+		for end, chunk := 0, 1; end < len(restore); chunk *= 2 {
+			next := min(end+chunk, len(restore))
+			for _, u := range restore[end:next] {
+				kept[u] = true
+			}
+			end = next
+			seqs = append(seqs, restored())
+		}
+		cands = cands[:0]
+		for _, seq := range seqs {
+			cands = append(cands, fsim.Pack(seq, c.NumPIs()).Whole())
+		}
+		j := batch.FirstDetecting(fl[fi], cands, 1, 0)
+		if j < 0 {
+			j = len(cands) - 1
+		}
+		st.Restorations += j + 1
+		// Candidate j restored the first 2^j - 1 vectors of restore.
+		for _, u := range restore[min(1<<j-1, len(restore)):] {
+			kept[u] = false
+		}
+		cur := seqs[j]
 		covered[fi] = true
 
 		// Drop every other fault the restored sequence now detects.

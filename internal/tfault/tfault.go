@@ -59,8 +59,9 @@ func Universe(c *netlist.Circuit) []Fault {
 	return out
 }
 
-// Sim is a two-machine scalar transition-fault simulator with early exit,
-// analogous to fsim.Single. Not safe for concurrent use.
+// Sim is a two-machine (fault-free plus one faulty) scalar
+// transition-fault simulator with early exit on detection. Not safe for
+// concurrent use.
 type Sim struct {
 	c                   *netlist.Circuit
 	goodVals, badVals   []logic.Value

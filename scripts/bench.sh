@@ -2,10 +2,12 @@
 # bench.sh — run the fault-simulation micro-benchmarks (the
 # BenchmarkTable-class suite the active-region engine is measured by), the
 # Procedure 2 leg (BenchmarkProcedure2: core.FindSubsequence for every
-# target of the seed-1 s1423 T0) and the post-selection leg
+# target of the seed-1 s1423 T0), the post-selection leg
 # (BenchmarkCompactVerify: §3.2 compaction plus coverage certification of
-# the seed-1 s1423 greedy result) with -benchmem, and optionally emit the
-# parsed numbers as JSON.
+# the seed-1 s1423 greedy result) and the T0 compaction leg
+# (BenchmarkT0Compaction: vector-restoration compaction of the seed-1
+# s298 ATPG sequence) with -benchmem, and optionally emit the parsed
+# numbers as JSON.
 #
 # Usage:
 #   scripts/bench.sh                     # full suite, 3 iterations each
@@ -17,24 +19,24 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_15.json via scripts/bench_check.sh.
+# the counts against BENCH_17.json via scripts/bench_check.sh.
 #
-# BENCH_15.json in the repository root records the one-dispatch-path
-# round (before/after timings of BenchmarkServiceThroughput and
-# BenchmarkServiceCacheHit) plus the expected detection counts of every
-# leg; BENCH_14.json, BENCH_13.json, BENCH_12.json, BENCH_9.json and
-# BENCH_3.json hold the earlier rounds' records.
+# BENCH_17.json in the repository root records the one-two-machine-
+# simulator round (before/after timings of BenchmarkT0Compaction and
+# BenchmarkFaultSimSingle) plus the expected detection counts of every
+# leg; BENCH_15.json, BENCH_14.json, BENCH_13.json, BENCH_12.json,
+# BENCH_9.json and BENCH_3.json hold the earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify'
+BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|T0Compaction'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify|T0Compaction'
             COUNT=1x
             ;;
         -benchtime)

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic detection counts of a
 # scripts/bench.sh -json run against the expected counts committed in
-# BENCH_15.json ("detections" section), and fail on any mismatch. The
+# BENCH_17.json ("detections" section), and fail on any mismatch. The
 # counts cover every engine configuration the suite exercises — serial,
-# sharded (workers=1,2,4), the candidate-parallel Procedure 2 leg, and
-# the post-selection compaction/verification leg — so behavior drift in
-# any of them fails the gate.
+# sharded (workers=1,2,4), the candidate-parallel Procedure 2 leg, the
+# post-selection compaction/verification leg and the T0 compaction leg —
+# so behavior drift in any of them fails the gate.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -13,12 +13,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_15.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_17.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_15.json}
+EXPECTED=${2:-BENCH_17.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N}
@@ -52,7 +52,7 @@ checked=0
 # nothing while still "passing".
 for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
-    BenchmarkProcedure2 BenchmarkCompactVerify; do
+    BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkT0Compaction; do
     if ! echo "$RUNS" | awk -v n="$required" '$1 == n { found=1 } END { exit !found }'; then
         echo "bench_check: required benchmark $required missing from $RUN (renamed, deleted, or no detected metric?)" >&2
         fail=1
