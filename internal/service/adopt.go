@@ -1,9 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -17,10 +14,10 @@ import (
 // (lifecycle hooks, event appends, summary aggregation) lived only in
 // the submitter's memory. Adoption moves that ownership: when a sweep's
 // owner has stopped heartbeating, a live member wins a lease-arbitrated
-// race, rebuilds the sweep from the store exactly like crash recovery
-// rebuilds the owner's own sweeps (persist.go), commits itself as the
-// new owner, and drives the members to a finalized summary. See
-// DESIGN.md §12.
+// race, rebuilds the sweep from the store through the same record
+// loaders crash recovery uses for the owner's own sweeps (persist.go),
+// commits itself as the new owner, and drives the members to a
+// finalized summary. See DESIGN.md §12.
 
 // adoptStaleSweeps scans the sweep mirror — throttled to about one scan
 // per lease TTL, since owner death is detected on heartbeat timescales
@@ -123,51 +120,16 @@ func (s *Service) adoptSweep(rec store.SweepRecord) {
 	if s.closed || s.sweeps[cur.ID] != nil {
 		return
 	}
-	sw := &sweep{
-		id:       cur.ID,
-		seq:      cur.Seq,
-		node:     s.cfg.NodeID, // ours from here on
-		tenant:   cur.Tenant,   // ownership transfers, attribution does not
-		created:  cur.Created,
-		finished: cur.Finished,
-		state:    State(cur.State),
-		canceled: cur.Canceled,
-		wake:     make(chan struct{}),
-	}
-	// A spec that no longer unmarshals is corruption, not an option the
-	// sweep can do without: record it so repairSweep fails lost members
-	// loudly instead of silently re-submitting from a zero spec.
-	if len(cur.Spec) > 0 {
-		if err := json.Unmarshal(cur.Spec, &sw.spec); err != nil {
-			sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
-			s.noteStoreErr(sw.specErr)
-		}
-	}
-	for mi, m := range cur.Members {
-		sw.members = append(sw.members, sweepMember{
-			index: mi,
-			jobID: m.JobID,
-			status: Status{
-				ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
-				CacheHit: m.CacheHit, Error: m.Error,
-			},
-		})
-	}
-	for _, er := range st.Events[cur.ID] {
-		var ev SweepEvent
-		if json.Unmarshal(er.Data, &ev) != nil {
-			continue
-		}
-		sw.events = append(sw.events, ev)
-	}
+	rc := s.newRecovery()
+	sw := s.loadSweep(cur, st.Events[cur.ID])
+	sw.node = s.cfg.NodeID // ours from here on; tenant attribution stays
 
-	// Materialize local mirrors of the sweep's member jobs — whichever
-	// node submitted or ran them — so repairSweep can overlay their
-	// fresher state and re-attach hooks, and so observeRemote (which
-	// only touches locally-known jobs) drives those hooks as peers
-	// finish the remaining work.
-	rc := &recovery{s: s, results: make(map[string]*Result)}
-	memberJob := make(map[int]*job)
+	// Materialize local mirrors of the sweep's jobs — whichever node
+	// submitted or ran them — so repairSweep can overlay their fresher
+	// state and re-attach hooks, and so observeRemote (which only
+	// touches locally-known jobs) drives those hooks as peers finish the
+	// remaining work. Unlike recovery, adoption leaves queued and
+	// running records to the claim loop.
 	for i := range st.Jobs {
 		jr := &st.Jobs[i]
 		if jr.SweepID != cur.ID {
@@ -175,59 +137,21 @@ func (s *Service) adoptSweep(rec store.SweepRecord) {
 		}
 		j := s.jobs[jr.ID]
 		if j == nil {
-			j = s.mirrorJob(jr)
-			j.started = jr.Started
-			j.finished = jr.Finished
-			switch state := State(jr.State); state {
-			case StateDone:
-				if res := rc.result(jr.Key); res != nil {
-					j.state = StateDone
-					j.cacheHit = jr.CacheHit
-					j.result = res
-					s.incResultRef(j.key)
-				} else {
-					// The result body died with the owner before it was
-					// spilled: re-enqueue, as recovery would (re-running
-					// is safe, results are content-addressed).
-					j.state = StateQueued
-					j.orphaned = true
-					j.started, j.finished = time.Time{}, time.Time{}
-					s.persistJob(j)
-				}
-			case StateFailed, StateCanceled:
-				j.state = state
-				if jr.Error != "" {
-					j.err = errors.New(jr.Error)
-				}
+			var unfinished bool
+			j, unfinished = rc.loadJob(jr)
+			if unfinished && State(jr.State).Terminal() {
+				// A done record whose result body died with the owner:
+				// no claim loop re-runs a terminal record, so re-enqueue
+				// it as recovery would.
+				rc.requeue(j)
 			}
 			s.register(j)
 		}
-		if j.member >= 0 {
-			memberJob[j.member] = j
-		}
+		rc.track(j)
 	}
 
 	s.registerSweep(sw)
-	s.repairSweep(rc, sw, memberJob)
-	// Re-attach results stripped before storage (persistSweepEvent) to
-	// the member snapshots and replayed events, as recovery does.
-	for i := range sw.members {
-		m := &sw.members[i]
-		if m.status.State == StateDone && m.result == nil {
-			if j := s.jobs[m.jobID]; j != nil {
-				m.result = j.result
-			}
-		}
-	}
-	for ei := range sw.events {
-		ev := &sw.events[ei]
-		if ev.Type == "member_update" && ev.Member != nil &&
-			ev.Member.State == StateDone && ev.Member.Result == nil {
-			if j := s.jobs[ev.Member.JobID]; j != nil {
-				ev.Member.Result = j.result
-			}
-		}
-	}
+	rc.settleSweep(sw)
 	s.persistSweep(sw) // commit: the durable record now names this owner
 	s.metrics.sweepsAdopted.Add(1)
 }

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"seqbist/internal/iscas"
 	"seqbist/internal/store"
+	"seqbist/internal/strategy"
 )
 
 // TestClusterTickIncrementalRefresh pins the cost model of the rewritten
@@ -249,5 +252,242 @@ func TestAdoptionRespectsLiveOwner(t *testing.T) {
 	}
 	if n := svc.Metrics().Cluster.SweepsAdopted; n != 0 {
 		t.Fatalf("sweeps_adopted = %d, want 0", n)
+	}
+}
+
+// seedMidSweep lays out in dir what node n1 leaves behind when it dies
+// mid-sweep: a three-member sweep whose member 0 is done (result body
+// stored, its done event logged with the result stripped), member 1 is a
+// queued job record, and member 2 never reached the queue — with n1's
+// last heartbeat long stale. Member 1's record holds Seq 1 so a
+// rebuilt member 2 sorts after it in either node's claim order, which
+// keeps the event order of the two rebuilds comparable.
+func seedMidSweep(t *testing.T, dir string, cfg GenConfig) {
+	t.Helper()
+	seed, err := store.Open(store.Options{Dir: dir, NodeID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	const swID = "sweep-n1-0001"
+	created := time.Now().Add(-time.Minute) // well past 3x the 2s lease TTL
+	spec := SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}, {Circuit: "s298"}, {Circuit: "s344"}}, Config: cfg}
+	if err := seed.PutSweep(store.SweepRecord{
+		ID: swID, Seq: 1, State: string(StateRunning), Node: "n1", Tenant: AnonymousTenant,
+		Spec: mustJSON(t, spec), Created: created,
+		Members: []store.SweepMemberRecord{
+			{JobID: "job-n1-000002", Circuit: "s27", State: string(StateDone)},
+			{JobID: "job-n1-000001", Circuit: "s298", State: string(StateQueued)},
+			{Circuit: "s344", State: string(StateQueued)},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res0, err := Synthesize(context.Background(), JobSpec{Circuit: "s27", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key0 := contentKey(iscas.MustLoad("s27"), "", cfg.withDefaults(1))
+	if err := seed.PutResult(key0, mustJSON(t, res0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []store.JobRecord{
+		{ID: "job-n1-000001", Seq: 1, Key: contentKey(iscas.MustLoad("s298"), "", cfg.withDefaults(1)),
+			Circuit: "s298", Spec: mustJSON(t, JobSpec{Circuit: "s298", Config: cfg}), Node: "n1",
+			Tenant: AnonymousTenant, SweepID: swID, Member: 1, State: string(StateQueued), Submitted: created},
+		{ID: "job-n1-000002", Seq: 2, Key: key0,
+			Circuit: "s27", Spec: mustJSON(t, JobSpec{Circuit: "s27", Config: cfg}), Node: "n1",
+			Tenant: AnonymousTenant, SweepID: swID, Member: 0, State: string(StateDone),
+			Submitted: created, Started: created, Finished: created},
+	} {
+		if err := seed.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1 := SweepMemberStatus{Index: 1, Circuit: "s298", JobID: "job-n1-000001", State: StateQueued}
+	m0 := SweepMemberStatus{Index: 0, Circuit: "s27", JobID: "job-n1-000002", State: StateDone}
+	for seq, ev := range []SweepEvent{
+		{Type: "sweep_started"},
+		{Type: "member_update", Member: &m1},
+		{Type: "member_update", Member: &m0},
+	} {
+		ev.SweepID, ev.Seq, ev.State = swID, seq, StateRunning
+		if err := seed.AppendEvent(store.EventRecord{SweepID: swID, Seq: seq, Data: mustJSON(t, ev)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Heartbeat(store.NodeRecord{ID: "n1", Started: created, Time: created}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryMatchesAdoption is the differential check of the one
+// rebuild path: the same mid-sweep store state is rebuilt once by its
+// owner restarting (recovery) and once by a peer after the owner's
+// heartbeat went stale (adoption), and both must finish the sweep with
+// the same member statuses and results, the same event log, and the
+// same summary.
+func TestRecoveryMatchesAdoption(t *testing.T) {
+	cfg := tinyCfg()
+	const swID = "sweep-n1-0001"
+	rebuild := func(node string) (SweepStatus, []SweepEvent) {
+		dir := t.TempDir()
+		seedMidSweep(t, dir, cfg)
+		sst, err := store.Open(store.Options{Dir: dir, NodeID: node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := clusterCfg(sst, node)
+		if node != "n1" {
+			// Adopt before the claim loop first ticks, so no claim of the
+			// queued member races the hooks adoption attaches; from then
+			// on the loop ticks on the nudges of freed workers.
+			c.PollInterval = time.Hour
+		}
+		svc := New(c)
+		defer svc.Close()
+		if node != "n1" {
+			delta, cursor, err := svc.store.Changes(svc.changeCursor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.changeCursor = cursor
+			svc.foldDelta(delta)
+			svc.adoptStaleSweeps(time.Now())
+			if n := svc.Metrics().Cluster.SweepsAdopted; n != 1 {
+				t.Fatalf("%s: sweeps_adopted = %d, want 1", node, n)
+			}
+			svc.nudgeCluster()
+		}
+		fin := waitSweepTerminal(t, svc, swID)
+		events, _, _, err := svc.SweepEvents(swID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fin, events
+	}
+	rec, recEvents := rebuild("n1")
+	adp, adpEvents := rebuild("n2")
+
+	if rec.State != StateDone || adp.State != StateDone {
+		t.Fatalf("rebuilt sweeps ended %s (recovery) and %s (adoption), want done", rec.State, adp.State)
+	}
+	sameMember := func(what string, a, b *SweepMemberStatus) {
+		t.Helper()
+		if a.Index != b.Index || a.Circuit != b.Circuit || a.State != b.State ||
+			a.CacheHit != b.CacheHit || a.Error != b.Error {
+			t.Errorf("%s: recovery %+v, adoption %+v", what, *a, *b)
+		}
+		if a.Index != 2 && a.JobID != b.JobID { // member 2 is re-submitted under each node's IDs
+			t.Errorf("%s: job %s (recovery) vs %s (adoption)", what, a.JobID, b.JobID)
+		}
+		if !resultsEquivalent(a.Result, b.Result) {
+			t.Errorf("%s: results differ", what)
+		}
+	}
+	for i := range rec.Members {
+		if rec.Members[i].State != StateDone || rec.Members[i].Result == nil {
+			t.Errorf("member %d: recovery left it %s", i, rec.Members[i].State)
+		}
+		sameMember(fmt.Sprintf("member %d", i), &rec.Members[i], &adp.Members[i])
+	}
+	if !reflect.DeepEqual(rec.Summary, adp.Summary) {
+		t.Errorf("summaries differ:\nrecovery %+v\nadoption %+v", rec.Summary, adp.Summary)
+	}
+	if len(recEvents) != len(adpEvents) {
+		t.Fatalf("event logs: %d events (recovery), %d (adoption)", len(recEvents), len(adpEvents))
+	}
+	for i := range recEvents {
+		a, b := recEvents[i], adpEvents[i]
+		if a.Type != b.Type || a.Seq != b.Seq || a.State != b.State || (a.Member == nil) != (b.Member == nil) {
+			t.Fatalf("event %d: recovery %s/%d/%s, adoption %s/%d/%s", i, a.Type, a.Seq, a.State, b.Type, b.Seq, b.State)
+		}
+		if a.Member != nil {
+			sameMember(fmt.Sprintf("event %d", i), a.Member, b.Member)
+		}
+	}
+	if last := recEvents[len(recEvents)-1]; last.Type != "sweep_done" || !reflect.DeepEqual(last.Summary, adpEvents[len(adpEvents)-1].Summary) {
+		t.Errorf("final events differ: %+v", last)
+	}
+}
+
+// TestAdoptRacingSweep adopts a sweep whose owner died mid-race with two
+// of its member's four legs queued: the adopter must re-attach the race
+// to those two leg records, mint only the two missing legs, and keep the
+// result a never-crashed race keeps.
+func TestAdoptRacingSweep(t *testing.T) {
+	dir := t.TempDir()
+	seed, err := store.Open(store.Options{Dir: dir, NodeID: "dead"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCfg()
+	cfg.Seed = 3
+	cfg.Strategy = strategy.Race
+	const swID = "sweep-dead-0001"
+	created := time.Now().Add(-time.Minute)
+	if err := seed.PutSweep(store.SweepRecord{
+		ID: swID, Seq: 1, State: string(StateRunning), Node: "dead",
+		Spec:    mustJSON(t, SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg}),
+		Created: created,
+		Members: []store.SweepMemberRecord{{Circuit: "s27", State: string(StateQueued)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range raceLegRecords(cfg, swID, "dead", 1, strategy.Concrete()[:2]) {
+		if err := seed.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Heartbeat(store.NodeRecord{ID: "dead", Started: created, Time: created}); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	sst, err := store.Open(store.Options{Dir: dir, NodeID: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(clusterCfg(sst, "b"))
+	defer svc.Close()
+	deadline := time.Now().Add(120 * time.Second)
+	var fin SweepStatus
+	for {
+		if st, err := svc.Sweep(swID); err == nil && st.State.Terminal() {
+			fin = st
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("racing sweep never adopted and finished")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if fin.State != StateDone || fin.Summary == nil || fin.Summary.Done != 1 {
+		t.Fatalf("adopted race sweep: state %s summary %+v", fin.State, fin.Summary)
+	}
+	if !resultsEquivalent(fin.Members[0].Result, freshRaceResult(t, cfg)) {
+		t.Error("adopted race kept a different result than a never-crashed race")
+	}
+	if n := svc.Metrics().Cluster.SweepsAdopted; n != 1 {
+		t.Fatalf("sweeps_adopted = %d, want 1", n)
+	}
+
+	st, err := sst.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]int)
+	for _, rec := range st.Jobs {
+		if rec.SweepID == swID && rec.Member == -1 {
+			keys[rec.Key]++
+		}
+	}
+	if len(keys) != len(strategy.Concrete()) {
+		t.Fatalf("%d distinct leg keys in the store, want %d", len(keys), len(strategy.Concrete()))
+	}
+	for key, n := range keys {
+		if n != 1 {
+			t.Errorf("leg key %.12s has %d records, want 1 (stored legs re-attached, not re-minted)", key, n)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -488,7 +487,7 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		s.mu.Lock()
 		j := s.jobs[rec.ID]
 		if j == nil {
-			j = s.mirrorJob(rec)
+			j = s.jobFromRecord(rec)
 			s.register(j)
 		}
 		if j.state.Terminal() || j.exec != nil {
@@ -554,7 +553,7 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		return
 	}
 	if j == nil {
-		j = s.mirrorJob(rec)
+		j = s.jobFromRecord(rec)
 		s.register(j)
 	}
 	if j.state.Terminal() || j.exec != nil {
@@ -631,36 +630,5 @@ func (s *Service) runUnclaimable(now time.Time) {
 		if !s.launchLocked(j, "", now) && j.exec == nil {
 			return // the hand-off is full: next tick
 		}
-	}
-}
-
-// mirrorJob builds the local object for a peer-submitted record this
-// daemon claimed, so /v1/jobs on the executing daemon shows it and the
-// shared execution machinery has a job to drive. Callers hold s.mu.
-func (s *Service) mirrorJob(rec *store.JobRecord) *job {
-	var spec JobSpec
-	if len(rec.Spec) > 0 {
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			// The mirror's spec is display and coalescing metadata only —
-			// every execution path re-resolves from the stored bytes and
-			// fails typed — but a corrupt record still gets counted.
-			s.noteStoreErr(fmt.Errorf("stored job spec corrupt: %v", err))
-		}
-	}
-	return &job{
-		id:            rec.ID,
-		seq:           rec.Seq,
-		key:           rec.Key,
-		spec:          spec,
-		cfg:           spec.Config.withDefaults(s.cfg.SimParallelism),
-		circuit:       rec.Circuit,
-		node:          rec.Node,
-		tenant:        rec.Tenant,
-		sweepID:       rec.SweepID,
-		member:        rec.Member,
-		orphaned:      rec.Orphaned,
-		submitted:     rec.Submitted,
-		specPersisted: true,
-		state:         StateQueued,
 	}
 }

@@ -324,3 +324,53 @@ func TestRecoverCorruptSweepSpec(t *testing.T) {
 		t.Fatalf("member error must name the corruption, got %q", m.Error)
 	}
 }
+
+// TestRecoverCorruptJobSpec pins the one rule for a job record whose
+// spec no longer unmarshals, shared by recovery, adoption and claim
+// mirrors: the record is kept (a done job's status and result survive
+// the restart) and the corruption is counted; a non-terminal one fails
+// with a typed error once claimed instead of running from a zero spec.
+func TestRecoverCorruptJobSpec(t *testing.T) {
+	mem := store.NewMemory()
+	body, err := json.Marshal(&Result{Circuit: "s27", Strategy: "greedy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.PutResult("done-key", body); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, rec := range []store.JobRecord{
+		{ID: jobID(1), Seq: 1, Key: "done-key", Circuit: "s27", Member: -1,
+			Spec: json.RawMessage(`{corrupt`), State: string(StateDone),
+			Submitted: now, Finished: now},
+		{ID: jobID(2), Seq: 2, Key: "queued-key", Circuit: "s27", Member: -1,
+			Spec: json.RawMessage(`{corrupt`), State: string(StateQueued),
+			Submitted: now},
+	} {
+		if err := mem.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
+	defer svc.Close()
+
+	st, err := svc.Status(jobID(1))
+	if err != nil || st.State != StateDone {
+		t.Fatalf("done job with a corrupt spec after restart: %+v, %v; want done", st, err)
+	}
+	if res, err := svc.Result(jobID(1)); err != nil || res.Circuit != "s27" {
+		t.Fatalf("done job lost its stored result: %+v, %v", res, err)
+	}
+	if n := svc.Metrics().Store.JobsRecovered; n != 2 {
+		t.Fatalf("jobs_recovered = %d, want 2 (corrupt records are kept)", n)
+	}
+	if n := svc.Metrics().Store.WriteErrors; n < 2 {
+		t.Fatalf("store errors = %d, want each corrupt spec counted", n)
+	}
+	fin := waitTerminal(t, svc, jobID(2), 10*time.Second)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "cluster claim") {
+		t.Fatalf("queued job with a corrupt spec ended %s (%q), want failed by the claim", fin.State, fin.Error)
+	}
+}

@@ -27,9 +27,10 @@ type Metrics struct {
 
 	// Persistence counters, all zero without a configured store.
 	// jobsRecovered / sweepsRecovered count records replayed at startup;
-	// orphansRequeued counts jobs that were queued or running at crash
-	// time and were put back on the queue; storeErrors counts store
-	// writes that failed (the in-memory state stays authoritative).
+	// orphansRequeued counts jobs a recovery or adoption rebuild put
+	// back on the queue (or completed off a stored result); storeErrors
+	// counts store writes that failed (the in-memory state stays
+	// authoritative) and stored records that no longer decode.
 	jobsRecovered   atomic.Int64
 	sweepsRecovered atomic.Int64
 	orphansRequeued atomic.Int64
@@ -314,13 +315,14 @@ type StoreSnapshot struct {
 	RecordsRefreshed int64 `json:"records_refreshed"`
 	SkippedFrames    int64 `json:"skipped_frames"`
 	// JobsRecovered / SweepsRecovered count records rebuilt into live
-	// service state at startup; OrphansRequeued counts jobs that were
-	// queued or running at crash time and were re-enqueued.
+	// service state at startup; OrphansRequeued counts jobs a recovery
+	// or adoption rebuild re-enqueued (API.md).
 	JobsRecovered   int64 `json:"jobs_recovered"`
 	SweepsRecovered int64 `json:"sweeps_recovered"`
 	OrphansRequeued int64 `json:"orphans_requeued"`
-	// WriteErrors counts store writes that failed; the daemon keeps
-	// serving from memory, but durability is degraded.
+	// WriteErrors counts store writes that failed (the daemon keeps
+	// serving from memory, but durability is degraded) and stored
+	// records that no longer decode.
 	WriteErrors int64 `json:"write_errors"`
 	// Degraded reports the health state machine (DESIGN.md §13): true
 	// while persistence is failing and the node rejects new submissions;

@@ -203,23 +203,13 @@ func (s *Service) persistResult(key string, res *Result) {
 // like any submission (the store lets a node re-claim its own lease, so
 // a restarted daemon resumes its orphans without waiting out a TTL).
 //
-// Rules, per record:
-//
-//   - done job + stored result: rebuilt as done, result attached, cache
-//     rehydrated. done job whose result body is missing: re-enqueued
-//     (content-addressing makes re-running safe).
-//   - failed/canceled job: rebuilt terminal.
-//   - queued/running job: the crash orphaned it — marked orphaned and
-//     re-enqueued (or completed instantly when another job's stored
-//     result already covers its content key; or canceled when its
-//     sweep had cancellation requested).
-//   - terminal sweep: rebuilt with its event log and summary (markdown
-//     rehydrated via experiments.SweepTable).
-//   - running sweep: member statuses are repaired from the fresher job
-//     records, lifecycle hooks are rewired onto re-enqueued member
-//     jobs, members that never reached the queue are re-submitted from
-//     the persisted sweep spec, and the sweep finalizes normally once
-//     the re-run members land.
+// Records are rebuilt by the helpers below, which sweep adoption
+// (adopt.go) shares. What recovery adds is its own scope and its own
+// orphans: it rebuilds only this node's records, restores the ID
+// counters, re-enqueues every own job a crash left unfinished (queued,
+// running, or done with its result body gone) — unless its sweep had
+// cancellation requested, which cancels it instead — and rehydrates the
+// result cache.
 func (s *Service) recover() {
 	st, err := s.store.Load()
 	if err != nil {
@@ -231,7 +221,7 @@ func (s *Service) recover() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rc := &recovery{s: s, results: make(map[string]*Result)}
+	rc := s.newRecovery()
 
 	// Sweeps first, so member jobs can link to them. Each daemon
 	// rebuilds only what it owns: peers' records stay in the store
@@ -242,54 +232,8 @@ func (s *Service) recover() {
 		if rec.Node != s.cfg.NodeID {
 			continue
 		}
-		if rec.Seq > s.sweepSeq {
-			s.sweepSeq = rec.Seq
-		}
-		sw := &sweep{
-			id:       rec.ID,
-			seq:      rec.Seq,
-			node:     rec.Node,
-			tenant:   rec.Tenant,
-			created:  rec.Created,
-			finished: rec.Finished,
-			state:    State(rec.State),
-			canceled: rec.Canceled,
-			wake:     make(chan struct{}),
-		}
-		if len(rec.Spec) > 0 {
-			if err := json.Unmarshal(rec.Spec, &sw.spec); err != nil {
-				// A stored spec that no longer unmarshals is corruption,
-				// not a recoverable condition: remember it so repairSweep
-				// fails the affected members loudly (naming the parse
-				// error) instead of re-running them from a zero spec.
-				sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
-				s.noteStoreErr(sw.specErr)
-			}
-		}
-		if rec.Summary != nil {
-			var sum SweepSummary
-			if json.Unmarshal(rec.Summary, &sum) == nil {
-				sum.Markdown = experiments.SweepTable(sum.Rows)
-				sw.summary = &sum
-			}
-		}
-		for mi, m := range rec.Members {
-			sw.members = append(sw.members, sweepMember{
-				index: mi,
-				jobID: m.JobID,
-				status: Status{
-					ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
-					CacheHit: m.CacheHit, Error: m.Error,
-				},
-			})
-		}
-		for _, er := range st.Events[rec.ID] {
-			var ev SweepEvent
-			if json.Unmarshal(er.Data, &ev) != nil {
-				continue
-			}
-			sw.events = append(sw.events, ev)
-		}
+		s.sweepSeq = max(s.sweepSeq, rec.Seq)
+		sw := s.loadSweep(rec, st.Events[rec.ID])
 		s.sweeps[sw.id] = sw
 		s.sweepOrder = append(s.sweepOrder, sw.id)
 		s.metrics.sweepsRecovered.Add(1)
@@ -297,80 +241,22 @@ func (s *Service) recover() {
 
 	// Jobs in submission order; orphans collected for re-enqueueing.
 	var orphans []*job
-	memberJob := make(map[string]map[int]*job)
 	for i := range st.Jobs {
 		rec := &st.Jobs[i]
 		if rec.Node != s.cfg.NodeID {
 			continue // a peer's job: not ours to rebuild
 		}
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
-		}
-		var spec JobSpec
-		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-			s.noteStoreErr(err)
-			continue
-		}
-		j := &job{
-			id:        rec.ID,
-			seq:       rec.Seq,
-			key:       rec.Key,
-			spec:      spec,
-			cfg:       spec.Config.withDefaults(s.cfg.SimParallelism),
-			circuit:   rec.Circuit,
-			node:      rec.Node,
-			tenant:    rec.Tenant,
-			sweepID:   rec.SweepID,
-			member:    rec.Member,
-			orphaned:  rec.Orphaned,
-			submitted: rec.Submitted,
-			started:   rec.Started,
-			finished:  rec.Finished,
-			// The replayed record carries the spec already.
-			specPersisted: true,
-		}
-		switch state := State(rec.State); state {
-		case StateDone:
-			if res := rc.result(rec.Key); res != nil {
-				j.state = StateDone
-				j.cacheHit = rec.CacheHit
-				j.result = res
-				s.incResultRef(j.key)
-			} else {
-				orphans = append(orphans, j)
-			}
-		case StateFailed, StateCanceled:
-			j.state = state
-			if rec.Error != "" {
-				j.err = errors.New(rec.Error)
-			}
-		default:
-			orphans = append(orphans, j)
-		}
+		s.seq = max(s.seq, rec.Seq)
+		j, unfinished := rc.loadJob(rec)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		if j.sweepID != "" && j.member >= 0 {
-			mm := memberJob[j.sweepID]
-			if mm == nil {
-				mm = make(map[int]*job)
-				memberJob[j.sweepID] = mm
-			}
-			mm[j.member] = j
-		}
+		rc.track(j)
 		s.metrics.jobsRecovered.Add(1)
+		if unfinished {
+			orphans = append(orphans, j)
+		}
 	}
 
-	// Re-enqueue orphans: each becomes a queued record again, unless a
-	// stored result already covers its content key.
-	requeue := func(j *job) {
-		j.orphaned = true
-		j.err = nil
-		j.started = time.Time{}
-		j.finished = time.Time{}
-		if !rc.tryComplete(j) {
-			rc.enqueue(j, nil, nil)
-		}
-	}
 	for _, j := range orphans {
 		if sw := s.sweeps[j.sweepID]; sw != nil && sw.canceled {
 			// Cancellation was requested before the crash: honor it
@@ -383,34 +269,11 @@ func (s *Service) recover() {
 			s.persistJob(j)
 			continue
 		}
-		requeue(j)
+		rc.requeue(j)
 	}
 
-	// Repair the sweeps: overlay the fresher job-record state onto each
-	// member, re-attach lifecycle hooks, re-submit members lost before
-	// their first enqueue, and re-attach stripped event results.
 	for _, id := range s.sweepOrder {
-		sw := s.sweeps[id]
-		if !sw.state.Terminal() {
-			s.repairSweep(rc, sw, memberJob[sw.id])
-		}
-		for i := range sw.members {
-			m := &sw.members[i]
-			if m.status.State == StateDone && m.result == nil {
-				if j := s.jobs[m.jobID]; j != nil {
-					m.result = j.result
-				}
-			}
-		}
-		for ei := range sw.events {
-			ev := &sw.events[ei]
-			if ev.Type == "member_update" && ev.Member != nil &&
-				ev.Member.State == StateDone && ev.Member.Result == nil {
-				if j := s.jobs[ev.Member.JobID]; j != nil {
-					ev.Member.Result = j.result
-				}
-			}
-		}
+		rc.settleSweep(s.sweeps[id])
 	}
 
 	// Rehydrate the result cache oldest-first, so LRU order ends up
@@ -424,50 +287,221 @@ func (s *Service) recover() {
 	}
 }
 
-// recovery is the shared state of one recover pass: the memoized result
-// fetches. Its enqueue and tryComplete helpers are the single
-// implementation of the requeue/instant-complete logic every recovered
-// job goes through.
+// recovery is the state of one rebuild pass — a startup recover, or one
+// sweep adoption: the memoized result fetches and the rebuilt jobs filed
+// by sweep. Its methods are the one implementation of turning stored
+// records back into live jobs and sweeps that both passes go through.
 type recovery struct {
-	s       *Service
-	results map[string]*Result
+	s         *Service
+	results   map[string]*Result
+	sweepJobs map[string][]*job // sweep ID -> its jobs, in load order
+}
+
+func (s *Service) newRecovery() *recovery {
+	return &recovery{s: s, results: make(map[string]*Result), sweepJobs: make(map[string][]*job)}
 }
 
 // result fetches and memoizes one stored result body (nil when absent
 // or unreadable).
 func (rc *recovery) result(key string) *Result { return rc.s.lookupResult(rc.results, key) }
 
-// tryComplete finishes j instantly when a stored result already covers
-// its content key (re-running would reproduce it bit-for-bit anyway)
-// and reports whether it did.
-func (rc *recovery) tryComplete(j *job) bool {
-	res := rc.result(j.key)
-	if res == nil {
-		return false
+// track files a sweep job so repairSweep can overlay it onto its member
+// (or, for a race leg, re-attach it to its racing member).
+func (rc *recovery) track(j *job) {
+	if j.sweepID != "" {
+		rc.sweepJobs[j.sweepID] = append(rc.sweepJobs[j.sweepID], j)
 	}
-	j.state = StateDone
-	j.cacheHit = true
-	j.result = res
-	j.finished = time.Now()
-	j.onRunning, j.onTerminal = nil, nil
-	rc.s.incResultRef(j.key)
-	rc.s.persistJob(j)
-	return true
 }
 
-// enqueue leaves j a durable queued record for the claim loop, caching
-// the resolved circuit and T0 on j (when the caller has them) so the
-// local claim skips re-resolving the stored spec.
+// jobFromRecord builds the local object for a stored job record: a
+// recovered job, an adopted sweep's job, or a peer's record this daemon
+// claimed, so /v1/jobs shows it and the shared execution machinery has
+// a job to drive. It comes back queued. Callers hold s.mu.
+func (s *Service) jobFromRecord(rec *store.JobRecord) *job {
+	var spec JobSpec
+	if len(rec.Spec) > 0 {
+		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+			// The spec is display and coalescing metadata only — every
+			// execution path re-resolves from the stored bytes and fails
+			// typed — so the record is kept, but the corruption counted.
+			s.noteStoreErr(fmt.Errorf("stored job spec corrupt: %v", err))
+		}
+	}
+	return &job{
+		id:        rec.ID,
+		seq:       rec.Seq,
+		key:       rec.Key,
+		spec:      spec,
+		cfg:       spec.Config.withDefaults(s.cfg.SimParallelism),
+		circuit:   rec.Circuit,
+		node:      rec.Node,
+		tenant:    rec.Tenant,
+		sweepID:   rec.SweepID,
+		member:    rec.Member,
+		orphaned:  rec.Orphaned,
+		submitted: rec.Submitted,
+		// The stored record carries the spec already.
+		specPersisted: true,
+		state:         StateQueued,
+	}
+}
+
+// loadJob rebuilds one stored job record. Terminal records come back
+// terminal — a done one with its stored result attached — and
+// unfinished reports the rest: a queued or running record, or a done
+// one whose result body is gone (it cannot be served, so it must run
+// again; content-addressing makes that safe).
+func (rc *recovery) loadJob(rec *store.JobRecord) (j *job, unfinished bool) {
+	j = rc.s.jobFromRecord(rec)
+	j.started, j.finished = rec.Started, rec.Finished
+	switch state := State(rec.State); state {
+	case StateDone:
+		res := rc.result(rec.Key)
+		if res == nil {
+			return j, true
+		}
+		j.state = StateDone
+		j.cacheHit = rec.CacheHit
+		j.result = res
+		rc.s.incResultRef(j.key)
+	case StateFailed, StateCanceled:
+		j.state = state
+		if rec.Error != "" {
+			j.err = errors.New(rec.Error)
+		}
+	default:
+		return j, true
+	}
+	return j, false
+}
+
+// loadSweep decodes one stored sweep record and its event log. The
+// summary's markdown is re-rendered through experiments.SweepTable
+// (persistSweep stores the rows only). Callers hold s.mu.
+func (s *Service) loadSweep(rec *store.SweepRecord, events []store.EventRecord) *sweep {
+	sw := &sweep{
+		id:       rec.ID,
+		seq:      rec.Seq,
+		node:     rec.Node,
+		tenant:   rec.Tenant,
+		created:  rec.Created,
+		finished: rec.Finished,
+		state:    State(rec.State),
+		canceled: rec.Canceled,
+		wake:     make(chan struct{}),
+	}
+	if len(rec.Spec) > 0 {
+		if err := json.Unmarshal(rec.Spec, &sw.spec); err != nil {
+			// A stored spec that no longer unmarshals is corruption, not
+			// a recoverable condition: remember it so repairSweep fails
+			// the affected members loudly (naming the parse error)
+			// instead of re-running them from a zero spec.
+			sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
+			s.noteStoreErr(sw.specErr)
+		}
+	}
+	if rec.Summary != nil {
+		var sum SweepSummary
+		if json.Unmarshal(rec.Summary, &sum) == nil {
+			sum.Markdown = experiments.SweepTable(sum.Rows)
+			sw.summary = &sum
+		}
+	}
+	for mi, m := range rec.Members {
+		sw.members = append(sw.members, sweepMember{
+			index: mi,
+			jobID: m.JobID,
+			status: Status{
+				ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
+				CacheHit: m.CacheHit, Error: m.Error,
+			},
+		})
+	}
+	for _, er := range events {
+		var ev SweepEvent
+		if json.Unmarshal(er.Data, &ev) != nil {
+			continue
+		}
+		sw.events = append(sw.events, ev)
+	}
+	return sw
+}
+
+// requeue makes an unfinished job an orphan: completed at once when a
+// stored result already covers its content key, otherwise a queued
+// record again for the claim loop.
+func (rc *recovery) requeue(j *job) {
+	j.orphaned = true
+	j.err = nil
+	j.started, j.finished = time.Time{}, time.Time{}
+	rc.enqueue(j, nil, nil)
+}
+
+// enqueue finishes j instantly when a stored result already covers its
+// content key (re-running would reproduce it bit-for-bit anyway), and
+// otherwise leaves it a durable queued record for the claim loop,
+// caching the resolved circuit and T0 on j (when the caller has them)
+// so the local claim skips re-resolving the stored spec.
 func (rc *recovery) enqueue(j *job, c *netlist.Circuit, t0 vectors.Sequence) {
+	if res := rc.result(j.key); res != nil {
+		j.state = StateDone
+		j.cacheHit = true
+		j.result = res
+		j.finished = time.Now()
+		rc.s.incResultRef(j.key)
+		rc.s.persistJob(j)
+		return
+	}
 	j.state = StateQueued
 	j.c, j.t0 = c, t0
 	rc.s.persistJob(j)
 	rc.s.metrics.orphansRequeued.Add(1)
 }
 
-// repairSweep reconciles one non-terminal sweep with the recovered job
-// records and queues whatever work is still missing. Callers hold s.mu.
-func (s *Service) repairSweep(rc *recovery, sw *sweep, memberJob map[int]*job) {
+// settleSweep finishes rebuilding one sweep: a running one is repaired
+// against the rebuilt job records, and the member results
+// persistSweepEvent stripped are re-attached to the member snapshots
+// and the replayed events. Callers hold s.mu.
+func (rc *recovery) settleSweep(sw *sweep) {
+	s := rc.s
+	if !sw.state.Terminal() {
+		s.repairSweep(rc, sw)
+	}
+	for i := range sw.members {
+		m := &sw.members[i]
+		if m.status.State == StateDone && m.result == nil {
+			if j := s.jobs[m.jobID]; j != nil {
+				m.result = j.result
+			}
+		}
+	}
+	for ei := range sw.events {
+		ev := &sw.events[ei]
+		if ev.Type == "member_update" && ev.Member != nil &&
+			ev.Member.State == StateDone && ev.Member.Result == nil {
+			if j := s.jobs[ev.Member.JobID]; j != nil {
+				ev.Member.Result = j.result
+			}
+		}
+	}
+}
+
+// repairSweep reconciles one non-terminal sweep with the rebuilt job
+// records and queues whatever work is still missing: member statuses
+// are overlaid from the fresher job records, lifecycle hooks are
+// rewired onto unfinished member jobs, members lost before their first
+// enqueue are re-submitted from the persisted sweep spec, and racing
+// members re-attach to their leg records. Callers hold s.mu.
+func (s *Service) repairSweep(rc *recovery, sw *sweep) {
+	memberJob := make(map[int]*job)
+	var legs []*job
+	for _, j := range rc.sweepJobs[sw.id] {
+		if j.member >= 0 {
+			memberJob[j.member] = j
+		} else {
+			legs = append(legs, j)
+		}
+	}
 	// pending is recomputed incrementally below, so an early member that
 	// completes instantly (a re-decided race whose legs all hit stored
 	// results) must not observe a transient pending of 0 and finalize
@@ -480,6 +514,23 @@ func (s *Service) repairSweep(rc *recovery, sw *sweep, memberJob map[int]*job) {
 		j := memberJob[i]
 		if j == nil && m.jobID != "" {
 			j = s.jobs[m.jobID]
+		}
+		if j == nil && !m.status.State.Terminal() {
+			// No job record at all: the crash hit between sweep
+			// registration and this member's enqueue — or the member was
+			// racing (legs are plain sweep jobs, the member itself never
+			// had a job ID). Re-submit from the persisted spec.
+			rm := sw.lostMember(i)
+			if rm != nil && rm.spec.Config.Strategy == strategy.Race {
+				m.status = Status{State: StateQueued, Circuit: m.status.Circuit}
+				sw.pending++
+				s.resubmitLostRace(rc, sw, i, rm, &legs)
+				dirty = true
+				continue
+			}
+			if rm != nil {
+				j = rc.resubmit(sw, i, rm.spec, rm.c, rm.t0)
+			}
 		}
 		if j != nil {
 			m.jobID = j.id
@@ -507,36 +558,6 @@ func (s *Service) repairSweep(rc *recovery, sw *sweep, memberJob map[int]*job) {
 		if m.status.State.Terminal() {
 			continue // e.g. a queue-full failure recorded without a job
 		}
-		// No job record at all: the crash hit between sweep registration
-		// and this member's enqueue — or the member was racing (legs are
-		// plain sweep jobs, the member itself never had a job ID).
-		// Re-submit from the persisted spec.
-		if sw.specErr == nil && i < len(sw.spec.Circuits) {
-			memberCfg := sw.spec.Circuits[i].Override.apply(sw.spec.Config)
-			if memberCfg.Strategy == strategy.Race {
-				m.status = Status{State: StateQueued, Circuit: m.status.Circuit}
-				sw.pending++
-				if s.resubmitLostRace(rc, sw, i, memberCfg) {
-					dirty = true
-					continue
-				}
-				sw.pending--
-			} else if j := s.resubmitLostMember(rc, sw, i); j != nil {
-				m.jobID = j.id
-				m.status = j.status()
-				if j.state.Terminal() { // instant completion off a stored result
-					if j.state == StateDone {
-						m.result = j.result
-					}
-					ms := sw.memberStatus(i, true)
-					s.appendSweepEvent(sw, SweepEvent{Type: "member_update", Member: &ms})
-					dirty = true
-					continue
-				}
-				sw.pending++
-				continue
-			}
-		}
 		m.status.State = StateFailed
 		if sw.specErr != nil {
 			m.status.Error = "recovery: cannot re-submit member: " + sw.specErr.Error()
@@ -554,12 +575,12 @@ func (s *Service) repairSweep(rc *recovery, sw *sweep, memberJob map[int]*job) {
 	s.finalizeSweepLocked(sw) // no-op while members remain pending
 }
 
-// resubmitLostMember builds a fresh job for sweep member i from the
-// persisted sweep spec and queues it through the shared recovery path
-// (instant completion off a stored result, or a queued record for the
-// claim loop). Returns nil when the member spec no longer resolves.
-// Callers hold s.mu.
-func (s *Service) resubmitLostMember(rc *recovery, sw *sweep, i int) *job {
+// lostMember resolves sweep member i from the persisted sweep spec; nil
+// when the spec is corrupt or the member no longer resolves.
+func (sw *sweep) lostMember(i int) *resolvedMember {
+	if sw.specErr != nil || i >= len(sw.spec.Circuits) {
+		return nil
+	}
 	ref := sw.spec.Circuits[i]
 	spec := JobSpec{Circuit: ref.Circuit, Bench: ref.Bench, T0: ref.T0, Config: ref.Override.apply(sw.spec.Config)}
 	c, err := resolveCircuit(spec, bench.Limits{})
@@ -570,9 +591,16 @@ func (s *Service) resubmitLostMember(rc *recovery, sw *sweep, i int) *job {
 	if err != nil {
 		return nil
 	}
+	return &resolvedMember{spec: spec, c: c, t0: t0}
+}
+
+// resubmit registers a fresh orphaned job for sweep member member (-1
+// for a race leg) of a rebuilt sweep and completes it off a stored
+// result or leaves it a queued record. Callers hold s.mu.
+func (rc *recovery) resubmit(sw *sweep, member int, spec JobSpec, c *netlist.Circuit, t0 vectors.Sequence) *job {
+	s := rc.s
 	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
 	s.seq++
-	idx := i
 	j := &job{
 		id:        s.newJobID(s.seq),
 		seq:       s.seq,
@@ -583,87 +611,60 @@ func (s *Service) resubmitLostMember(rc *recovery, sw *sweep, i int) *job {
 		node:      s.cfg.NodeID,
 		tenant:    sw.tenant,
 		sweepID:   sw.id,
-		member:    i,
+		member:    member,
 		orphaned:  true,
 		submitted: time.Now(),
-		onRunning: func(running Status) { s.memberRunning(sw, idx, running) },
-		onTerminal: func(final Status, res *Result) {
-			s.memberTerminal(sw, idx, final, res)
-		},
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	if !rc.tryComplete(j) {
-		rc.enqueue(j, c, t0)
-	}
+	rc.enqueue(j, c, t0)
 	return j
 }
 
-// resubmitLostRace rebuilds a racing member at recovery: fresh leg jobs
-// (one per concrete strategy, member = -1 like live race legs) are
-// created from the persisted sweep spec and queued through the shared
-// recovery path. Legs whose content keys already have stored results
-// complete instantly — on a fully-finished race this re-runs nothing and
-// re-decides the same winner, since the decision is deterministic given
-// the legs' results. Reports whether the member spec resolved; the race
-// decision (if all legs completed instantly) has already run on return.
-// Callers hold s.mu and have counted the member in sw.pending.
-func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, memberCfg GenConfig) bool {
-	ref := sw.spec.Circuits[i]
-	spec := JobSpec{Circuit: ref.Circuit, Bench: ref.Bench, T0: ref.T0, Config: memberCfg}
-	c, err := resolveCircuit(spec, bench.Limits{})
-	if err != nil {
-		return false
-	}
-	t0, err := resolveT0(spec, c)
-	if err != nil {
-		return false
-	}
-	names := strategy.Concrete()
-	rs := &raceState{legs: make([]raceLeg, len(names)), pending: len(names)}
-	for li, name := range names {
-		rs.legs[li].strategy = name
-	}
+// resubmitLostRace rebuilds a racing member: each concrete strategy's
+// leg re-attaches to an unused leg record of the sweep (member -1) with
+// the leg's content key — the member's config with the strategy
+// replaced, recomputed from the persisted sweep spec — and only a leg
+// with no such record is minted afresh (resubmit). Terminal legs are
+// recorded at once; the rest get the race hooks. On a fully-finished
+// race this re-runs nothing and re-decides the same winner, since the
+// decision is deterministic given the legs' results; if every leg is
+// already terminal the decision has run on return. Callers hold s.mu
+// and have counted the member in sw.pending.
+func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, rm *resolvedMember, legs *[]*job) {
+	rs := newRaceState()
 	sw.members[i].race = rs
-	for li, name := range names {
-		li := li
-		legSpec := spec
-		legSpec.Config.Strategy = name
-		cfg := legSpec.Config.withDefaults(s.cfg.SimParallelism)
-		s.seq++
-		j := &job{
-			id:        s.newJobID(s.seq),
-			seq:       s.seq,
-			key:       contentKey(c, legSpec.T0, cfg),
-			spec:      legSpec,
-			cfg:       cfg,
-			circuit:   c.Name,
-			node:      s.cfg.NodeID,
-			tenant:    sw.tenant,
-			sweepID:   sw.id,
-			member:    -1,
-			orphaned:  true,
-			submitted: time.Now(),
-			onRunning: func(running Status) { s.raceLegRunning(sw, i, li, running) },
-			onTerminal: func(final Status, res *Result) {
-				s.raceLegTerminal(sw, i, li, final, res)
-			},
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+	for li := range rs.legs {
 		leg := &rs.legs[li]
+		spec := rm.spec
+		spec.Config.Strategy = leg.strategy
+		j := takeLeg(legs, contentKey(rm.c, spec.T0, spec.Config.withDefaults(s.cfg.SimParallelism)))
+		if j == nil {
+			j = rc.resubmit(sw, -1, spec, rm.c, rm.t0)
+		}
 		leg.jobID = j.id
-		if rc.tryComplete(j) {
-			// tryComplete cleared the hooks, so record the leg directly
-			// under the held mutex (the live path records via the hook).
-			leg.status = j.status()
+		leg.status = j.status()
+		if j.state.Terminal() {
+			// No hook will fire for it, so record the leg directly under
+			// the held mutex (the live path records via the hook).
 			leg.result = j.result
 			rs.pending--
 			continue
 		}
-		rc.enqueue(j, c, t0)
-		leg.status = j.status()
+		j.onRunning = func(running Status) { s.raceLegRunning(sw, i, li, running) }
+		j.onTerminal = func(final Status, res *Result) { s.raceLegTerminal(sw, i, li, final, res) }
 	}
 	s.decideRaceLocked(sw, i)
-	return true
+}
+
+// takeLeg removes and returns the first leg job in legs with content
+// key key, or nil, so each leg record re-attaches to at most one leg.
+func takeLeg(legs *[]*job, key string) *job {
+	for li, j := range *legs {
+		if j.key == key {
+			*legs = append((*legs)[:li], (*legs)[li+1:]...)
+			return j
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -421,6 +422,95 @@ func TestRaceSweepCrashRecovery(t *testing.T) {
 	}
 	if !resultsEquivalent(fin.Members[0].Result, want.Members[0].Result) {
 		t.Error("recovered race decided on a different result")
+	}
+}
+
+// raceLegRecords returns the queued leg records (member -1) a live
+// fan-out writes for a racing s27 member of sweepID, one per named
+// strategy, with IDs and Seqs counting up from first as node would
+// number them.
+func raceLegRecords(cfg GenConfig, sweepID, node string, first int64, names []string) []store.JobRecord {
+	c := iscas.MustLoad("s27")
+	var recs []store.JobRecord
+	for k, name := range names {
+		seq := first + int64(k)
+		id := jobID(seq)
+		if node != "" {
+			id = fmt.Sprintf("job-%s-%06d", node, seq)
+		}
+		legCfg := cfg
+		legCfg.Strategy = name
+		spec, _ := json.Marshal(JobSpec{Circuit: "s27", Config: legCfg})
+		recs = append(recs, store.JobRecord{
+			ID: id, Seq: seq, Key: contentKey(c, "", legCfg.withDefaults(1)),
+			Circuit: "s27", Spec: spec, Node: node, SweepID: sweepID, Member: -1,
+			State: string(StateQueued), Submitted: time.Now(),
+		})
+	}
+	return recs
+}
+
+// freshRaceResult is the result a never-crashed service keeps for a
+// racing s27 member under cfg.
+func freshRaceResult(t *testing.T, cfg GenConfig) *Result {
+	t.Helper()
+	svc := New(Config{Workers: 2, SimParallelism: 1})
+	defer svc.Close()
+	st, err := svc.SubmitSweep(SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitSweepTerminal(t, svc, st.ID)
+	if fin.State != StateDone || fin.Members[0].Result == nil {
+		t.Fatalf("reference race sweep: state %s", fin.State)
+	}
+	return fin.Members[0].Result
+}
+
+// TestRaceSweepRecoveryReusesLegRecords restarts on a racing sweep whose
+// four legs reached the queue before the crash: recovery must re-attach
+// the race to those leg records instead of minting four more, and decide
+// it exactly as a never-crashed race does.
+func TestRaceSweepRecoveryReusesLegRecords(t *testing.T) {
+	dir := t.TempDir()
+	st := diskStore(t, dir)
+	cfg := tinyCfg()
+	cfg.Strategy = strategy.Race
+	specJSON, _ := json.Marshal(SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg})
+	if err := st.PutSweep(store.SweepRecord{
+		ID: "sweep-0001", Seq: 1, State: string(StateRunning), Spec: specJSON,
+		Members: []store.SweepMemberRecord{{Circuit: "s27", State: string(StateQueued)}},
+		Created: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	legs := raceLegRecords(cfg, "sweep-0001", "", 1, strategy.Concrete())
+	for _, rec := range legs {
+		if err := st.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	defer svc.Close()
+	fin := waitSweepTerminal(t, svc, "sweep-0001")
+	if fin.State != StateDone || fin.Summary == nil || fin.Summary.Done != 1 {
+		t.Fatalf("recovered race sweep: state %s summary %+v", fin.State, fin.Summary)
+	}
+	jobs := svc.Jobs()
+	if len(jobs) != len(legs) {
+		t.Fatalf("%d leg jobs after restart, want the %d stored ones", len(jobs), len(legs))
+	}
+	for i, j := range jobs {
+		if j.ID != legs[i].ID {
+			t.Errorf("job %d is %s, want stored leg %s", i, j.ID, legs[i].ID)
+		}
+	}
+	if !resultsEquivalent(fin.Members[0].Result, freshRaceResult(t, cfg)) {
+		t.Error("recovered race decided on a different result than a never-crashed race")
 	}
 }
 

@@ -199,6 +199,17 @@ type raceState struct {
 	decided bool // the winner was chosen (guards double decision)
 }
 
+// newRaceState sets up a race with one pending leg per concrete
+// strategy, in portfolio order.
+func newRaceState() *raceState {
+	names := strategy.Concrete()
+	rs := &raceState{legs: make([]raceLeg, len(names)), pending: len(names)}
+	for li, name := range names {
+		rs.legs[li].strategy = name
+	}
+	return rs
+}
+
 // raceLeg is one concrete strategy's entry in a member race.
 type raceLeg struct {
 	strategy string
@@ -471,20 +482,15 @@ func (s *Service) memberTerminal(sw *sweep, i int, final Status, res *Result) {
 // the member's own status is decided in decideRaceLocked once the last
 // leg is terminal. Callers must NOT hold the Service mutex.
 func (s *Service) raceFanOut(sw *sweep, i int, rm resolvedMember) {
-	names := strategy.Concrete()
-	s.mu.Lock()
-	rs := &raceState{legs: make([]raceLeg, len(names)), pending: len(names)}
-	for li, name := range names {
-		rs.legs[li].strategy = name
-	}
 	// pending counts every leg before any is submitted, so a leg that
 	// completes synchronously (cache hit) cannot decide the race while
 	// later legs are still unsubmitted.
+	rs := newRaceState()
+	s.mu.Lock()
 	sw.members[i].race = rs
 	s.mu.Unlock()
 
-	for li, name := range names {
-		li := li
+	for li := range rs.legs {
 		s.mu.Lock()
 		if sw.canceled {
 			leg := &rs.legs[li]
@@ -498,7 +504,7 @@ func (s *Service) raceFanOut(sw *sweep, i int, rm resolvedMember) {
 		}
 		s.mu.Unlock()
 		legSpec := rm.spec
-		legSpec.Config.Strategy = name
+		legSpec.Config.Strategy = rs.legs[li].strategy
 		st, err := s.submitJob(rm.c, rm.t0, legSpec, sw.tenant, sw.id, -1,
 			func(running Status) { s.raceLegRunning(sw, i, li, running) },
 			func(final Status, res *Result) { s.raceLegTerminal(sw, i, li, final, res) })

@@ -245,6 +245,9 @@ func Open(opts Options) (*Disk, error) {
 	if _, err := d.fs.Stat(legacy); err == nil {
 		return nil, corruptErr(fmt.Errorf("store: %s is a pre-segmentation log, a format no longer read", legacy))
 	}
+	// The snapshot's records enter the mirrors without change notes, so
+	// a zero cursor must resync in full rather than read the ring.
+	d.changes.invalidate()
 	if err := d.replaySnapshot(); err != nil {
 		return nil, err
 	}

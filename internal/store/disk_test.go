@@ -319,6 +319,49 @@ func TestDiskCompactionPreservesState(t *testing.T) {
 	}
 }
 
+// TestDiskChangesFromSnapshot pins the zero-cursor contract on a
+// reopened store: records that live only in snapshot.json were never
+// noted in the new handle's change ring, yet the first Changes call
+// must hand them over as a full resync. Otherwise a daemon started on a
+// compacted directory never sees the queued jobs it should claim or the
+// orphaned sweeps it should adopt.
+func TestDiskChangesFromSnapshot(t *testing.T) {
+	for _, logTail := range []bool{false, true} {
+		dir := t.TempDir()
+		d, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(1); i <= 3; i++ {
+			mustDo(t, d.PutJob(jobRec(i, "queued")))
+		}
+		mustDo(t, d.PutSweep(sweepRec(1, "running")), d.Compact())
+		wantJobs := 3
+		if logTail {
+			mustDo(t, d.PutJob(jobRec(4, "queued"))) // one record past the snapshot
+			wantJobs++
+		}
+		mustDo(t, d.Close())
+
+		d2, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, cursor, err := d2.Changes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !delta.Full || len(delta.Jobs) != wantJobs || len(delta.Sweeps) != 1 {
+			t.Fatalf("log tail %v: first delta full=%v with %d jobs, %d sweeps; want a full resync with %d jobs, 1 sweep",
+				logTail, delta.Full, len(delta.Jobs), len(delta.Sweeps), wantJobs)
+		}
+		if delta, _, err = d2.Changes(cursor); err != nil || delta.Full || len(delta.Jobs)+len(delta.Sweeps) != 0 {
+			t.Fatalf("log tail %v: idle follow-up delta %+v (err %v), want empty", logTail, delta, err)
+		}
+		mustDo(t, d2.Close())
+	}
+}
+
 func TestDiskAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(Options{Dir: dir, CompactBytes: 2048})

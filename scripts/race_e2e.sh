@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # race_e2e.sh — end-to-end proof of cluster-raced strategy sweeps: start
 # THREE seqbistd processes on one shared -data-dir, submit a
-# strategy=race sweep to the first, and assert that
+# strategy=race sweep to the first, SIGKILL that owner as soon as one of
+# its race legs is running — so a survivor must adopt the sweep and
+# decide its racing members from the legs already on record — and
+# assert that
 #
 #   1. every racing member decides, adopting one winning leg per circuit
-#      (the sweep finishes "done" with one kept result per member), and
+#      (the sweep finishes "done" on the adopting survivor with one kept
+#      result per member), and
 #   2. each kept result is bit-identical to the SAME circuit synthesized
 #      with the winning strategy alone on an independent single daemon,
 #      and that winner is exactly what the canonical race comparator
@@ -22,8 +26,8 @@ WORKDIR=${1:-$(mktemp -d)}
 mkdir -p "$WORKDIR"
 echo "race_e2e: workdir $WORKDIR"
 
-ADDR1=127.0.0.1:18761 # submitter (owns the sweep and decides the races)
-ADDR2=127.0.0.1:18762 # worker
+ADDR1=127.0.0.1:18761 # submitter (owns the sweep until it is killed)
+ADDR2=127.0.0.1:18762 # worker; one survivor adopts the sweep
 ADDR3=127.0.0.1:18763 # worker
 ADDR_R=127.0.0.1:18764 # independent single-strategy reference daemon
 LEASE_TTL=2s
@@ -79,6 +83,7 @@ stat_of() { # file json-key -> value
 # --- the racing cluster ------------------------------------------------
 DATA="$WORKDIR/data-cluster"
 start_daemon "$ADDR1" "$DATA" "$WORKDIR/daemon-n1.log" -node-id n1 -lease-ttl "$LEASE_TTL"
+N1_PID=$DAEMON_PID
 start_daemon "$ADDR2" "$DATA" "$WORKDIR/daemon-n2.log" -node-id n2 -lease-ttl "$LEASE_TTL"
 start_daemon "$ADDR3" "$DATA" "$WORKDIR/daemon-n3.log" -node-id n3 -lease-ttl "$LEASE_TTL"
 wait_ready "$ADDR1"; wait_ready "$ADDR2"; wait_ready "$ADDR3"
@@ -87,8 +92,27 @@ SWEEP_ID=$(curl -sf -X POST "http://$ADDR1/v1/sweeps" -d "$SWEEP" |
     grep -o '"id": *"sweep-[a-z0-9-]*"' | grep -o 'sweep-[a-z0-9-]*')
 echo "race_e2e: submitted race sweep $SWEEP_ID over {$CIRCUITS} to n1"
 
+# Kill the owner mid-race: as soon as n1 reports a running leg, no race
+# can have decided yet (a member decides only once all four legs land).
+for _ in $(seq 1 500); do
+    if curl -sf "http://$ADDR1/v1/jobs" | grep -q '"state": *"running"'; then break; fi
+    sleep 0.02
+done
+if [ "$(sweep_state "$ADDR1" "$SWEEP_ID" || true)" != "running" ]; then
+    echo "race_e2e: sweep left running before n1 could be killed mid-race" >&2
+    exit 1
+fi
+kill -9 "$N1_PID"
+echo "race_e2e: SIGKILLed the owner n1 with a race leg running"
+
+# A survivor adopts the sweep once n1's heartbeat is stale (3x the lease
+# TTL); the adopter is whichever one serves it.
+OWNER=
 for _ in $(seq 1 1800); do
-    STATE=$(sweep_state "$ADDR1" "$SWEEP_ID" || true)
+    for ADDR in "$ADDR2" "$ADDR3"; do
+        STATE=$(sweep_state "$ADDR" "$SWEEP_ID" || true)
+        if [ -n "$STATE" ]; then OWNER=$ADDR; break; fi
+    done
     if [ "$STATE" = "done" ]; then break; fi
     if [ "$STATE" = "failed" ] || [ "$STATE" = "canceled" ]; then
         echo "race_e2e: race sweep ended $STATE" >&2
@@ -101,12 +125,27 @@ if [ "$STATE" != "done" ]; then
     exit 1
 fi
 
-curl -sf "http://$ADDR1/v1/sweeps/$SWEEP_ID" >"$WORKDIR/sweep-race.json"
-RACES=$(metric "$ADDR1" races)
-WON1=$(metric "$ADDR1" claims_won); WON2=$(metric "$ADDR2" claims_won); WON3=$(metric "$ADDR3" claims_won)
-echo "race_e2e: sweep done — races decided=$RACES, claims won n1=$WON1 n2=$WON2 n3=$WON3"
+curl -sf "http://$OWNER/v1/sweeps/$SWEEP_ID" >"$WORKDIR/sweep-race.json"
+RACES=$(metric "$OWNER" races)
+ADOPTED=$(metric "$OWNER" sweeps_adopted)
+WON2=$(metric "$ADDR2" claims_won); WON3=$(metric "$ADDR3" claims_won)
+echo "race_e2e: sweep done on $OWNER — adopted=$ADOPTED, races decided=$RACES, claims won n2=$WON2 n3=$WON3 (n1 killed)"
+if [ "$ADOPTED" -lt 1 ]; then
+    echo "race_e2e: $OWNER serves the sweep but adopted none" >&2
+    exit 1
+fi
 if [ "$RACES" -lt 2 ]; then
-    echo "race_e2e: expected 2 decided races on the submitter, saw $RACES" >&2
+    echo "race_e2e: expected 2 decided races on the sweep's owner, saw $RACES" >&2
+    exit 1
+fi
+# Every leg was on record before the kill (the fan-out precedes the
+# submit response), so the adopter re-attaches the races to those legs
+# and submits no job of its own.
+OWNER_NODE=n2
+if [ "$OWNER" = "$ADDR3" ]; then OWNER_NODE=n3; fi
+MINTED=$(curl -sf "http://$OWNER/v1/jobs" | { grep -o "\"id\": *\"job-$OWNER_NODE-" || true; } | wc -l)
+if [ "$MINTED" -ne 0 ]; then
+    echo "race_e2e: the adopter minted $MINTED leg jobs instead of re-attaching the legs on record" >&2
     exit 1
 fi
 
@@ -147,7 +186,7 @@ run_reference() { # circuit strategy -> result JSON on stdout
 IDX=0
 for CIRCUIT in $CIRCUITS; do
     KEPT_JOB=${MEMBER_JOBS[$IDX]}
-    curl -sf "http://$ADDR1/v1/jobs/$KEPT_JOB/result" >"$WORKDIR/kept-$CIRCUIT.json"
+    curl -sf "http://$OWNER/v1/jobs/$KEPT_JOB/result" >"$WORKDIR/kept-$CIRCUIT.json"
     KEPT_STRAT=$(grep -o '"strategy": *"[a-z]*"' "$WORKDIR/kept-$CIRCUIT.json" | head -1 | grep -o '[a-z]*"$' | tr -d '"')
     if [ -z "$KEPT_STRAT" ]; then
         echo "race_e2e: kept result for $CIRCUIT names no strategy" >&2
@@ -187,4 +226,4 @@ for CIRCUIT in $CIRCUITS; do
     IDX=$((IDX + 1))
 done
 
-echo "race_e2e: PASS — 3-daemon race sweep kept the comparator-best strategy per circuit, bit-identical to single-strategy runs"
+echo "race_e2e: PASS — 3-daemon race sweep, adopted after its owner was killed mid-race, kept the comparator-best strategy per circuit, bit-identical to single-strategy runs"
