@@ -157,6 +157,20 @@ type Stats struct {
 	MaxLen       int
 }
 
+// Less is the storage-cost order every strategy comparison, the
+// sweep-level race and the strategy study share: total stored length,
+// then longest stored sequence, then sequence count. Coverage never
+// enters it, because every target order covers all of F.
+func (s Stats) Less(o Stats) bool {
+	if s.TotalLen != o.TotalLen {
+		return s.TotalLen < o.TotalLen
+	}
+	if s.MaxLen != o.MaxLen {
+		return s.MaxLen < o.MaxLen
+	}
+	return s.NumSequences < o.NumSequences
+}
+
 // StatsOf computes summary statistics for a set.
 func StatsOf(set []Selected) Stats {
 	st := Stats{NumSequences: len(set)}

@@ -200,35 +200,47 @@ func (r *CircuitRun) NormComp() float64 {
 	return float64(r.BestRun().CompTime) / float64(r.SimT0Time)
 }
 
-// RunCircuit executes the full pipeline on one named circuit.
-func RunCircuit(name string, prof Profile) (*CircuitRun, error) {
-	c, err := iscas.Load(name)
-	if err != nil {
-		return nil, err
+// prepare loads a registry circuit, its collapsed fault list and its T0
+// the one way every experiment derives them: ATPG seeded from the profile
+// seed and the circuit name, capped at the profile's ATPG length, then T0
+// compaction. rawLen is the ATPG sequence's length before compaction.
+func (p Profile) prepare(name string) (c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, rawLen int, err error) {
+	if c, err = iscas.Load(name); err != nil {
+		return nil, nil, nil, 0, err
 	}
-	fl := faults.CollapsedUniverse(c)
-	ns, trials, atpgMax := prof.settingsFor(name)
+	fl = faults.CollapsedUniverse(c)
+	_, _, atpgMax := p.settingsFor(name)
 
 	atpgStart := time.Now()
 	gen, err := atpg.Generate(c, fl, atpg.Config{
-		Seed:   prof.Seed*1000003 + uint64(len(name)),
+		Seed:   p.Seed*1000003 + uint64(len(name)),
 		MaxLen: atpgMax,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %v", name, err)
+		return nil, nil, nil, 0, fmt.Errorf("experiments: %s: %v", name, err)
 	}
-	prof.trace(name, fmt.Sprintf("atpg len=%d cov=%d/%d", gen.Seq.Len(), gen.NumDetected, len(fl)), atpgStart)
+	p.trace(name, fmt.Sprintf("atpg len=%d cov=%d/%d", gen.Seq.Len(), gen.NumDetected, len(fl)), atpgStart)
 	tcStart := time.Now()
-	t0, _ := tcompact.Compact(c, fl, gen.Seq)
-	prof.trace(name, fmt.Sprintf("tcompact len=%d", t0.Len()), tcStart)
+	t0, _ = tcompact.Compact(c, fl, gen.Seq)
+	p.trace(name, fmt.Sprintf("tcompact len=%d", t0.Len()), tcStart)
 	if t0.Len() == 0 {
-		return nil, fmt.Errorf("experiments: %s: ATPG produced no useful sequence", name)
+		return nil, nil, nil, 0, fmt.Errorf("experiments: %s: ATPG produced no useful sequence", name)
 	}
+	return c, fl, t0, gen.Seq.Len(), nil
+}
+
+// RunCircuit executes the full pipeline on one named circuit.
+func RunCircuit(name string, prof Profile) (*CircuitRun, error) {
+	c, fl, t0, rawLen, err := prof.prepare(name)
+	if err != nil {
+		return nil, err
+	}
+	ns, trials, _ := prof.settingsFor(name)
 
 	run := &CircuitRun{
 		Name:        name,
 		TotalFaults: len(fl),
-		RawT0Len:    gen.Seq.Len(),
+		RawT0Len:    rawLen,
 		T0Len:       t0.Len(),
 		SimT0Time:   timeSimT0(c, fl, t0, prof.SimParallelism),
 	}

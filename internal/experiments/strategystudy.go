@@ -5,13 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"seqbist/internal/atpg"
 	"seqbist/internal/core"
-	"seqbist/internal/faults"
-	"seqbist/internal/iscas"
 	"seqbist/internal/report"
 	"seqbist/internal/strategy"
-	"seqbist/internal/tcompact"
 )
 
 // StrategyStudyRow is one strategy's outcome on the study circuit: how
@@ -37,9 +33,8 @@ type StrategyStudyResult struct {
 	T0Len   int                `json:"t0_len"`
 	Faults  int                `json:"faults"`
 	Rows    []StrategyStudyRow `json:"rows"`
-	// Best indexes Rows by the canonical race comparator (total stored
-	// length, then max stored length, then sequence count; earlier
-	// portfolio entry wins ties).
+	// Best indexes Rows by core.Stats.Less, the race's storage-cost
+	// order; the earlier portfolio entry wins ties.
 	Best int `json:"best"`
 }
 
@@ -51,23 +46,11 @@ func StrategyStudy(name string, prof Profile, n int, names []string) (*StrategyS
 	if len(names) == 0 {
 		names = strategy.Concrete()
 	}
-	c, err := iscas.Load(name)
+	c, fl, t0, _, err := prof.prepare(name)
 	if err != nil {
 		return nil, err
 	}
-	fl := faults.CollapsedUniverse(c)
-	_, trials, atpgMax := prof.settingsFor(name)
-	gen, err := atpg.Generate(c, fl, atpg.Config{
-		Seed:   prof.Seed*1000003 + uint64(len(name)),
-		MaxLen: atpgMax,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %v", name, err)
-	}
-	t0, _ := tcompact.Compact(c, fl, gen.Seq)
-	if t0.Len() == 0 {
-		return nil, fmt.Errorf("experiments: %s: ATPG produced no useful sequence", name)
-	}
+	_, trials, _ := prof.settingsFor(name)
 
 	res := &StrategyStudyResult{Circuit: name, N: n, T0Len: t0.Len(), Faults: len(fl)}
 	cfg := strategy.Config{Core: core.Config{
@@ -77,6 +60,7 @@ func StrategyStudy(name string, prof Profile, n int, names []string) (*StrategyS
 		MaxOmissionTrials: trials,
 		Parallelism:       prof.SimParallelism,
 	}}
+	var bestStats core.Stats
 	for _, sn := range names {
 		strat, err := strategy.Get(sn)
 		if err != nil {
@@ -100,33 +84,12 @@ func StrategyStudy(name string, prof Profile, n int, names []string) (*StrategyS
 		if len(fl) > 0 {
 			row.Coverage = float64(out.Result.NumTargets) / float64(len(fl))
 		}
+		if len(res.Rows) == 0 || st.Less(bestStats) {
+			res.Best, bestStats = len(res.Rows), st
+		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.Best = bestStrategyRow(res.Rows)
 	return res, nil
-}
-
-// bestStrategyRow applies the canonical race comparator to study rows.
-func bestStrategyRow(rows []StrategyStudyRow) int {
-	best := 0
-	for i := 1; i < len(rows); i++ {
-		a, b := &rows[i], &rows[best]
-		switch {
-		case a.TotalLen != b.TotalLen:
-			if a.TotalLen < b.TotalLen {
-				best = i
-			}
-		case a.MaxLen != b.MaxLen:
-			if a.MaxLen < b.MaxLen {
-				best = i
-			}
-		default:
-			if a.NumSequences < b.NumSequences {
-				best = i
-			}
-		}
-	}
-	return best
 }
 
 // Markdown renders the study as a per-strategy cost table, winner

@@ -519,16 +519,23 @@ func (s *Service) repairSweep(rc *recovery, sw *sweep) {
 			// No job record at all: the crash hit between sweep
 			// registration and this member's enqueue — or the member was
 			// racing (legs are plain sweep jobs, the member itself never
-			// had a job ID). Re-submit from the persisted spec.
+			// had a job ID). Re-submit from the persisted spec, unless
+			// the sweep's cancellation was requested before the crash.
 			rm := sw.lostMember(i)
-			if rm != nil && rm.spec.Config.Strategy == strategy.Race {
+			switch {
+			case rm != nil && rm.spec.Config.Strategy == strategy.Race:
 				m.status = Status{State: StateQueued, Circuit: m.status.Circuit}
 				sw.pending++
 				s.resubmitLostRace(rc, sw, i, rm, &legs)
 				dirty = true
 				continue
-			}
-			if rm != nil {
+			case sw.canceled:
+				m.status.State = StateCanceled
+				ms := sw.memberStatus(i, false)
+				s.appendSweepEvent(sw, SweepEvent{Type: "member_update", Member: &ms})
+				dirty = true
+				continue
+			case rm != nil:
 				j = rc.resubmit(sw, i, rm.spec, rm.c, rm.t0)
 			}
 		}
@@ -625,12 +632,13 @@ func (rc *recovery) resubmit(sw *sweep, member int, spec JobSpec, c *netlist.Cir
 // leg re-attaches to an unused leg record of the sweep (member -1) with
 // the leg's content key — the member's config with the strategy
 // replaced, recomputed from the persisted sweep spec — and only a leg
-// with no such record is minted afresh (resubmit). Terminal legs are
-// recorded at once; the rest get the race hooks. On a fully-finished
-// race this re-runs nothing and re-decides the same winner, since the
-// decision is deterministic given the legs' results; if every leg is
-// already terminal the decision has run on return. Callers hold s.mu
-// and have counted the member in sw.pending.
+// with no such record is minted afresh (resubmit), or, in a canceled
+// sweep, ends canceled. Terminal legs are recorded at once; the rest
+// get the race hooks. On a fully-finished race this re-runs nothing and
+// re-decides the same winner, since the decision is deterministic given
+// the legs' results; if every leg is already terminal the decision has
+// run on return. Callers hold s.mu and have counted the member in
+// sw.pending.
 func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, rm *resolvedMember, legs *[]*job) {
 	rs := newRaceState()
 	sw.members[i].race = rs
@@ -639,6 +647,13 @@ func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, rm *resolvedM
 		spec := rm.spec
 		spec.Config.Strategy = leg.strategy
 		j := takeLeg(legs, contentKey(rm.c, spec.T0, spec.Config.withDefaults(s.cfg.SimParallelism)))
+		if j == nil && sw.canceled {
+			// A canceled sweep mints no legs; the race decides among
+			// the legs already on record.
+			leg.status = Status{State: StateCanceled, Circuit: rm.c.Name}
+			rs.pending--
+			continue
+		}
 		if j == nil {
 			j = rc.resubmit(sw, -1, spec, rm.c, rm.t0)
 		}

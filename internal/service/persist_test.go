@@ -10,6 +10,7 @@ import (
 
 	"seqbist/internal/iscas"
 	"seqbist/internal/store"
+	"seqbist/internal/strategy"
 )
 
 // diskStore opens a Disk store on a fresh (or reused) test directory.
@@ -299,6 +300,54 @@ func TestRecoveryCanceledSweep(t *testing.T) {
 	st1 := waitTerminal(t, svc, jobID(1), 10*time.Second)
 	if st1.State != StateCanceled {
 		t.Fatalf("member of canceled sweep recovered as %s", st1.State)
+	}
+}
+
+// TestRecoveryCanceledSweepLostMembers checks that members of a canceled
+// sweep that never reached the queue end canceled at recovery instead of
+// being re-submitted, and that a racing member mints no legs.
+func TestRecoveryCanceledSweepLostMembers(t *testing.T) {
+	for _, strat := range []string{"", strategy.Race} {
+		t.Run("strategy="+strat, func(t *testing.T) {
+			mem := store.NewMemory()
+			cfg := tinyCfg()
+			cfg.Strategy = strat
+			if err := mem.PutSweep(store.SweepRecord{
+				ID: "sweep-0001", Seq: 1, State: string(StateRunning), Canceled: true,
+				Spec: mustJSON(t, SweepSpec{
+					Circuits: []CircuitRef{{Circuit: "s27"}, {Circuit: "s298"}},
+					Config:   cfg,
+				}),
+				Members: []store.SweepMemberRecord{
+					{Circuit: "s27", State: string(StateQueued)},
+					{Circuit: "s298", State: string(StateQueued)},
+				},
+				Created: time.Now(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			svc := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
+			defer svc.Close()
+			done := waitSweepTerminal(t, svc, "sweep-0001")
+			if done.State != StateCanceled {
+				t.Fatalf("canceled sweep recovered as %s", done.State)
+			}
+			for i, m := range done.Members {
+				if m.State != StateCanceled {
+					t.Errorf("member %d (%s) recovered as %s, want canceled", i, m.Circuit, m.State)
+				}
+			}
+			if done.Summary == nil || done.Summary.Canceled != 2 {
+				t.Errorf("summary %+v, want 2 canceled", done.Summary)
+			}
+			if n := svc.Metrics().Store.OrphansRequeued; n != 0 {
+				t.Errorf("orphans_requeued = %d, want 0", n)
+			}
+			if jobs := svc.Jobs(); len(jobs) != 0 {
+				t.Errorf("recovery submitted %d jobs for a canceled sweep", len(jobs))
+			}
+		})
 	}
 }
 

@@ -74,6 +74,15 @@ func (r *Result) SweepRow() experiments.SweepRow {
 	}
 }
 
+// stats is the stored set's cost in the race's storage-cost order
+// (core.Stats.Less). Coverage is equal across one member's legs by
+// construction, so it takes no part; exact ties keep the incumbent, so
+// iterating legs in portfolio order makes the earlier strategy win, as
+// in internal/strategy's in-pipeline race.
+func (r *Result) stats() core.Stats {
+	return core.Stats{NumSequences: r.NumSequences, TotalLen: r.TotalLen, MaxLen: r.MaxLen}
+}
+
 // StoredSequence is one selected subsequence as loaded into the on-chip
 // memory, with its provenance and golden MISR signature.
 type StoredSequence struct {

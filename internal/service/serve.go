@@ -12,8 +12,8 @@ import (
 )
 
 // Serve runs the HTTP API of a fresh Service on addr until the process
-// receives SIGINT or SIGTERM, then shuts down gracefully. Both seqbistd
-// and `seqbist -serve` are thin wrappers around this.
+// receives SIGINT or SIGTERM, then shuts down gracefully. seqbistd is a
+// thin wrapper around this.
 func Serve(addr string, cfg Config) error {
 	svc := New(cfg)
 	defer svc.Close()

@@ -297,7 +297,7 @@ func TestSweepRaceMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil || betterResult(res, want) {
+		if want == nil || res.stats().Less(want.stats()) {
 			want, wantStrategy = res, name
 		}
 	}

@@ -580,25 +580,6 @@ func (s *Service) raceLegTerminal(sw *sweep, i, li int, final Status, res *Resul
 	s.decideRaceLocked(sw, i)
 }
 
-// betterResult reports whether a strictly beats b under the race
-// comparator: higher fault coverage first, then smaller stored cost
-// (total stored length, then max stored length, then sequence count).
-// Exact ties keep the incumbent, so iterating legs in portfolio order
-// makes the earlier strategy win ties — the same canonical rule as
-// internal/strategy's in-pipeline race.
-func betterResult(a, b *Result) bool {
-	if a.Coverage != b.Coverage {
-		return a.Coverage > b.Coverage
-	}
-	if a.TotalLen != b.TotalLen {
-		return a.TotalLen < b.TotalLen
-	}
-	if a.MaxLen != b.MaxLen {
-		return a.MaxLen < b.MaxLen
-	}
-	return a.NumSequences < b.NumSequences
-}
-
 // decideRaceLocked settles a racing member once its last leg is
 // terminal: the best done leg becomes the member's job, status, and
 // result, the winner is tallied in the metrics, and the member's event
@@ -617,7 +598,7 @@ func (s *Service) decideRaceLocked(sw *sweep, i int) {
 	for li := range rs.legs {
 		leg := &rs.legs[li]
 		if leg.status.State == StateDone && leg.result != nil {
-			if win == nil || betterResult(leg.result, win.result) {
+			if win == nil || leg.result.stats().Less(win.result.stats()) {
 				win = leg
 			}
 		}

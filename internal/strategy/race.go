@@ -34,7 +34,7 @@ func (race) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, c
 		}
 		sumTrials += o.Trials
 		score := raceScore(c, fl, o.Result, cfg)
-		if win == nil || lessStats(score, winScore) {
+		if win == nil || score.Less(winScore) {
 			win, winScore = o, score
 		}
 	}

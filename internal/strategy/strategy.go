@@ -12,7 +12,7 @@
 //   - genetic: a small permutation GA (order crossover + swap mutation)
 //     over target orders, à la Skobtsov's evolutionary functional BIST;
 //   - race:    the meta-strategy that runs every concrete strategy and
-//     keeps the best coverage-per-storage result.
+//     keeps the cheapest stored set (core.Stats.Less).
 //
 // Every strategy is deterministic given Config.Core.Seed: all randomness
 // flows from seeded xrand streams, and each evaluated order reseeds
@@ -170,24 +170,9 @@ func permSeed(seed uint64, order []int) uint64 {
 	return h
 }
 
-// better reports whether a strictly beats b. Coverage is equal by
-// construction, so lower storage wins: total stored length, then longest
-// stored sequence, then sequence count.
+// better reports whether a strictly beats b under core.Stats.Less.
 func better(a, b *core.Result) bool {
-	return lessStats(core.StatsOf(a.Set), core.StatsOf(b.Set))
-}
-
-// lessStats is the canonical storage-cost order shared by every
-// comparison in the portfolio (and mirrored by the service's sweep-level
-// race), lexicographic on (TotalLen, MaxLen, NumSequences).
-func lessStats(a, b core.Stats) bool {
-	if a.TotalLen != b.TotalLen {
-		return a.TotalLen < b.TotalLen
-	}
-	if a.MaxLen != b.MaxLen {
-		return a.MaxLen < b.MaxLen
-	}
-	return a.NumSequences < b.NumSequences
+	return core.StatsOf(a.Set).Less(core.StatsOf(b.Set))
 }
 
 // evaluator runs Procedure 1 trials over target orders on one shared

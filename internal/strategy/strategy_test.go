@@ -177,7 +177,7 @@ func TestRaceWinner(t *testing.T) {
 		}
 		trials += o.Trials
 		score := raceScore(c, fl, o.Result, cfg)
-		if wantWinner == "" || lessStats(score, wantScore) {
+		if wantWinner == "" || score.Less(wantScore) {
 			wantWinner, wantScore = name, score
 		}
 	}
