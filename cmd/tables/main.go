@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,18 +28,28 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "table to print: 1, 2, 3, 4, 5 or all")
-	figure := flag.Int("figure", 0, "figure to print (1), in addition to tables")
-	profile := flag.String("profile", "fast", "pipeline profile: fast or full")
-	circuits := flag.String("circuits", "", "comma-separated circuit list (overrides profile)")
-	ns := flag.String("ns", "", "comma-separated repetition counts (overrides profile)")
-	seed := flag.Uint64("seed", 1, "pipeline seed")
-	verify := flag.Bool("verify", false, "re-verify coverage of every run (slow)")
-	engine := flag.Bool("engine", false, "print the fault-simulation engine's efficiency counters for the run")
-	markdown := flag.Bool("md", false, "emit the full paper-vs-measured Markdown report (EXPERIMENTS.md body)")
-	strategyStudy := flag.String("strategy-study", "", "compare the synthesis-strategy portfolio (greedy/restart/anneal/genetic) on this circuit and exit")
-	studyN := flag.Int("strategy-study-n", 2, "repetition count for -strategy-study")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and prints the requested tables and figures to stdout,
+// with pipeline progress on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tables", flag.ExitOnError)
+	table := fs.String("table", "all", "table to print: 1, 2, 3, 4, 5 or all")
+	figure := fs.Int("figure", 0, "figure to print (1), in addition to tables")
+	profile := fs.String("profile", "fast", "pipeline profile: fast or full")
+	circuits := fs.String("circuits", "", "comma-separated circuit list (overrides profile)")
+	ns := fs.String("ns", "", "comma-separated repetition counts (overrides profile)")
+	seed := fs.Uint64("seed", 1, "pipeline seed")
+	verify := fs.Bool("verify", false, "re-verify coverage of every run (slow)")
+	engine := fs.Bool("engine", false, "print the fault-simulation engine's efficiency counters for the run")
+	markdown := fs.Bool("md", false, "emit the full paper-vs-measured Markdown report (EXPERIMENTS.md body)")
+	strategyStudy := fs.String("strategy-study", "", "compare the synthesis-strategy portfolio (greedy/restart/anneal/genetic) on this circuit and exit")
+	studyN := fs.Int("strategy-study-n", 2, "repetition count for -strategy-study")
+	_ = fs.Parse(args)
 
 	if *strategyStudy != "" {
 		prof := experiments.FastProfile()
@@ -48,23 +59,23 @@ func main() {
 		prof.Seed = *seed
 		study, err := experiments.StrategyStudy(*strategyStudy, prof, *studyN, nil)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Println(study.Markdown())
-		return
+		fmt.Fprintln(stdout, study.Markdown())
+		return nil
 	}
 
 	needPipeline := *figure == 1 || *table == "all" || *markdown ||
 		*table == "3" || *table == "4" || *table == "5"
 
 	if *table == "1" || *table == "all" {
-		fmt.Println(experiments.Table1())
+		fmt.Fprintln(stdout, experiments.Table1())
 	}
 	if *table == "2" || *table == "all" {
-		fmt.Println(experiments.Table2())
+		fmt.Fprintln(stdout, experiments.Table2())
 	}
 	if !needPipeline {
-		return
+		return nil
 	}
 
 	prof := experiments.FastProfile()
@@ -80,55 +91,51 @@ func main() {
 		for _, s := range strings.Split(*ns, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 1 {
-				fatalf("invalid -ns entry %q", s)
+				return fmt.Errorf("invalid -ns entry %q", s)
 			}
 			prof.Ns = append(prof.Ns, n)
 		}
 	}
 
 	engineBefore := experiments.EngineStats()
-	fmt.Fprintf(os.Stderr, "running pipeline on %v with n in %v...\n", prof.Circuits, prof.Ns)
+	fmt.Fprintf(stderr, "running pipeline on %v with n in %v...\n", prof.Circuits, prof.Ns)
 	prof.Progress = func(name string, elapsed time.Duration) {
-		fmt.Fprintf(os.Stderr, "  %-8s done in %v\n", name, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "  %-8s done in %v\n", name, elapsed.Round(time.Millisecond))
 	}
 	prof.Trace = func(circuit, stage string, elapsed time.Duration) {
-		fmt.Fprintf(os.Stderr, "    %-8s %-24s %v\n", circuit, stage, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "    %-8s %-24s %v\n", circuit, stage, elapsed.Round(time.Millisecond))
 	}
 	runs, err := experiments.RunAll(prof)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	experiments.SortByName(runs)
 
 	if *markdown {
-		fmt.Print(experiments.MarkdownReport(runs))
+		fmt.Fprint(stdout, experiments.MarkdownReport(runs))
 	}
 	if *table == "3" || *table == "all" {
-		fmt.Println(experiments.Table3(runs))
+		fmt.Fprintln(stdout, experiments.Table3(runs))
 	}
 	if *table == "4" || *table == "all" {
-		fmt.Println(experiments.Table4(runs))
+		fmt.Fprintln(stdout, experiments.Table4(runs))
 	}
 	if *table == "5" || *table == "all" {
-		fmt.Println(experiments.Table5(runs))
+		fmt.Fprintln(stdout, experiments.Table5(runs))
 	}
 	if *figure == 1 || *table == "all" {
 		for _, r := range runs {
-			fmt.Println(experiments.Figure1(r))
+			fmt.Fprintln(stdout, experiments.Figure1(r))
 		}
 	}
 	if *engine {
-		fmt.Println(experiments.EngineEfficiency(engineBefore, experiments.EngineStats()))
+		fmt.Fprintln(stdout, experiments.EngineEfficiency(engineBefore, experiments.EngineStats()))
 	}
 	if *verify {
 		if problems := experiments.CoverageCheck(runs); len(problems) > 0 {
-			fatalf("coverage check failed: %v", problems)
+			return fmt.Errorf("coverage check failed: %v", problems)
 		}
-		fmt.Fprintln(os.Stderr, "coverage check passed: every run re-detects all of T0's faults")
+		fmt.Fprintln(stderr, "coverage check passed: every run re-detects all of T0's faults")
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seqbist/internal/atpg"
@@ -167,12 +168,12 @@ type CircuitRun struct {
 	SimT0Time time.Duration
 	// PerN holds every swept repetition count, in sweep order.
 	PerN []NRun
-	// Best indexes PerN per the paper's best-n rule.
+	// Best indexes PerN per the best-n rule (bestN).
 	Best int
 }
 
-// BestRun returns the NRun chosen by the paper's rule: smallest maximum
-// stored length, then smallest total stored length, then lowest run time.
+// BestRun returns the NRun chosen by bestN: smallest maximum stored
+// length, then smallest total stored length, then the smaller n.
 func (r *CircuitRun) BestRun() *NRun { return &r.PerN[r.Best] }
 
 // TestLen returns the total applied (at-speed) test length for the best
@@ -278,7 +279,10 @@ func RunCircuit(name string, prof Profile) (*CircuitRun, error) {
 }
 
 // bestN applies the paper's rule: smallest maximum sequence length, then
-// smallest total length, then lowest run time.
+// smallest total length. The paper breaks a remaining tie by run time;
+// bestN takes the smaller n instead (DESIGN §5), so the choice is
+// reproducible and, at equal stored lengths, gives the shorter applied
+// test.
 func bestN(runs []NRun) int {
 	best := 0
 	for i := 1; i < len(runs); i++ {
@@ -293,7 +297,7 @@ func bestN(runs []NRun) int {
 				best = i
 			}
 		default:
-			if a.Proc1Time+a.CompTime < b.Proc1Time+b.CompTime {
+			if a.N < b.N {
 				best = i
 			}
 		}
@@ -324,8 +328,11 @@ func timeSimT0(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, paral
 }
 
 // RunAll executes the pipeline for every circuit of the profile,
-// parallelizing across circuits. Results are returned in profile order;
-// a failing circuit aborts with its error.
+// parallelizing across circuits. Workers take circuits in profile order,
+// so with one worker circuits run, and report progress, in that order.
+// Results are returned in profile order; a failing circuit stops new
+// circuits from starting, and RunAll returns the first error in profile
+// order.
 func RunAll(prof Profile) ([]*CircuitRun, error) {
 	workers := prof.Workers
 	if workers <= 0 {
@@ -338,54 +345,39 @@ func RunAll(prof Profile) ([]*CircuitRun, error) {
 		// normalizer under contention. An explicit SimParallelism wins.
 		prof.SimParallelism = 1
 	}
-	type slot struct {
-		run *CircuitRun
-		err error
-	}
-	results := make([]slot, len(prof.Circuits))
-	if workers == 1 {
-		// Sequential path: deterministic circuit order, results stream in
-		// profile order for progress consumers.
-		for i, name := range prof.Circuits {
-			start := time.Now()
-			run, err := RunCircuit(name, prof)
-			results[i] = slot{run, err}
-			if prof.Progress != nil {
-				prof.Progress(name, time.Since(start))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %v", name, err)
-			}
-		}
-		runs := make([]*CircuitRun, 0, len(results))
-		for _, s := range results {
-			runs = append(runs, s.run)
-		}
-		return runs, nil
-	}
-	sem := make(chan struct{}, workers)
+	runs := make([]*CircuitRun, len(prof.Circuits))
+	errs := make([]error, len(prof.Circuits))
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i, name := range prof.Circuits {
+	for w := 0; w < workers && w < len(prof.Circuits); w++ {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			run, err := RunCircuit(name, prof)
-			results[i] = slot{run, err}
-			if prof.Progress != nil {
-				prof.Progress(name, time.Since(start))
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(prof.Circuits) {
+					return
+				}
+				name := prof.Circuits[i]
+				start := time.Now()
+				runs[i], errs[i] = RunCircuit(name, prof)
+				if prof.Progress != nil {
+					prof.Progress(name, time.Since(start))
+				}
+				if errs[i] != nil {
+					failed.Store(true)
+				}
 			}
-		}(i, name)
+		}()
 	}
 	wg.Wait()
-	runs := make([]*CircuitRun, 0, len(results))
-	for i, s := range results {
-		if s.err != nil {
-			return nil, fmt.Errorf("experiments: %s: %v", prof.Circuits[i], s.err)
+	// Circuits are handed out in profile order, so every circuit that
+	// never ran sits after a failed one.
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %v", prof.Circuits[i], err)
 		}
-		runs = append(runs, s.run)
 	}
 	return runs, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -82,10 +83,15 @@ func TestBestNRule(t *testing.T) {
 		{N: 2, After: coreStats(3, 30, 10), Proc1Time: time.Second},
 		{N: 4, After: coreStats(3, 40, 8), Proc1Time: 2 * time.Second},   // smaller max: wins
 		{N: 8, After: coreStats(3, 35, 8), Proc1Time: 3 * time.Second},   // equal max, smaller tot: wins
-		{N: 16, After: coreStats(3, 35, 8), Proc1Time: time.Millisecond}, // ties, faster: wins
+		{N: 16, After: coreStats(3, 35, 8), Proc1Time: time.Millisecond}, // ties, faster: loses to the smaller n
 	}
-	if got := bestN(runs); got != 3 {
-		t.Errorf("bestN = %d, want 3", got)
+	if got := bestN(runs); got != 2 {
+		t.Errorf("bestN = %d, want 2", got)
+	}
+	// A tie goes to the smaller n wherever it sits in the list.
+	swapped := []NRun{runs[3], runs[2]}
+	if got := bestN(swapped); got != 1 {
+		t.Errorf("bestN(n=16, n=8) = %d, want 1", got)
 	}
 	if got := bestN(runs[:3]); got != 2 {
 		t.Errorf("bestN(first 3) = %d, want 2", got)
@@ -161,6 +167,25 @@ func TestRunAllParallelPath(t *testing.T) {
 		if a.N != b.N || a.After != b.After {
 			t.Errorf("%s: parallel and sequential paths disagree", runs[i].Name)
 		}
+	}
+}
+
+// TestRunAllOneWorkerOrderAndStop pins RunAll with one worker: circuits
+// run and report progress in profile order, and a failing circuit stops
+// every later one from starting.
+func TestRunAllOneWorkerOrderAndStop(t *testing.T) {
+	prof := tinyProfile()
+	prof.Circuits = []string{"s27", "no-such-circuit", "s298"}
+	prof.Ns = []int{1}
+	prof.Workers = 1
+	var seen []string
+	prof.Progress = func(name string, _ time.Duration) { seen = append(seen, name) }
+	_, err := RunAll(prof)
+	if err == nil || !strings.Contains(err.Error(), "no-such-circuit") {
+		t.Fatalf("RunAll error = %v, want one naming no-such-circuit", err)
+	}
+	if want := []string{"s27", "no-such-circuit"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("progress order %v, want %v", seen, want)
 	}
 }
 

@@ -88,12 +88,6 @@ type plan struct {
 	dffs  []int32 // region flip-flop indices, ascending
 	pos   []int32 // region primary-output positions, ascending
 
-	// boundary lists the signals read by the region (gate inputs and
-	// flip-flop D pins) but produced outside it; they always carry the
-	// broadcast fault-free value. Dense-mode evaluation (engine.go)
-	// materializes them once per time unit.
-	boundary []int32
-
 	sites []site // distinct injection sites, for the quiescence check
 
 	stems     []sigMask          // stem forces, loaded into scratch per call
@@ -117,20 +111,19 @@ type planBuilder struct {
 	gateMark []int32
 	dffMark  []int32
 	poMark   []int32
-	bndMark  []int32
 	seedMark []int32
 	epoch    int32
 
 	queue []netlist.SignalID
 
 	// Per-group temporaries, reset per build.
-	tGates, tDFFs, tPOs, tBoundary []int32
-	tStemQs, tSeed                 []int32
-	tStemPIs                       []netlist.SignalID
-	tStems                         []sigMask
-	tBranches                      []gatePinMask
-	tDFFForce                      []dffMask
-	tSites                         []site
+	tGates, tDFFs, tPOs []int32
+	tStemQs, tSeed      []int32
+	tStemPIs            []netlist.SignalID
+	tStems              []sigMask
+	tBranches           []gatePinMask
+	tDFFForce           []dffMask
+	tSites              []site
 
 	// Slabs backing the finished plans.
 	i32Slab   slab[int32]
@@ -151,7 +144,6 @@ func newPlanBuilder(c *netlist.Circuit) *planBuilder {
 		gateMark: make([]int32, c.NumGates()),
 		dffMark:  make([]int32, c.NumDFFs()),
 		poMark:   make([]int32, c.NumPOs()),
-		bndMark:  make([]int32, c.NumSignals()),
 		seedMark: make([]int32, c.NumGates()),
 	}
 }
@@ -171,7 +163,7 @@ func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 	c, csr := pb.c, pb.csr
 	pb.epoch++
 	pb.queue = pb.queue[:0]
-	pb.tGates, pb.tDFFs, pb.tPOs, pb.tBoundary = pb.tGates[:0], pb.tDFFs[:0], pb.tPOs[:0], pb.tBoundary[:0]
+	pb.tGates, pb.tDFFs, pb.tPOs = pb.tGates[:0], pb.tDFFs[:0], pb.tPOs[:0]
 	pb.tStemQs, pb.tSeed = pb.tStemQs[:0], pb.tSeed[:0]
 	pb.tStemPIs = pb.tStemPIs[:0]
 	pb.tStems, pb.tBranches, pb.tDFFForce, pb.tSites = pb.tStems[:0], pb.tBranches[:0], pb.tDFFForce[:0], pb.tSites[:0]
@@ -304,24 +296,6 @@ func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 			pb.tPOs = append(pb.tPOs, int32(pi))
 		}
 	}
-	// Boundary: signals the region reads (gate inputs and flip-flop D
-	// pins) that are not region signals themselves. A stem-forced signal
-	// that is a primary input or flip-flop output is region-marked above,
-	// so the two source lists never overlap the boundary.
-	addBoundary := func(sig int32) {
-		if pb.sigMark[sig] != pb.epoch && pb.bndMark[sig] != pb.epoch {
-			pb.bndMark[sig] = pb.epoch
-			pb.tBoundary = append(pb.tBoundary, sig)
-		}
-	}
-	for _, gi := range pb.tGates {
-		for _, in := range csr.GateIn(int(gi)) {
-			addBoundary(in)
-		}
-	}
-	for _, di := range pb.tDFFs {
-		addBoundary(int32(c.DFFs[di].D))
-	}
 	// Seed gates: forced-pin gates plus drivers of stem-forced outputs —
 	// exactly the gates marked before the closure ran, deduplicated by
 	// re-deriving them from the forcing lists with an epoch-stamped mark.
@@ -349,7 +323,6 @@ func (pb *planBuilder) finalize() plan {
 	p.gates = pb.carveI32(pb.tGates)
 	p.dffs = pb.carveI32(pb.tDFFs)
 	p.pos = pb.carveI32(pb.tPOs)
-	p.boundary = pb.carveI32(pb.tBoundary)
 	p.stemQs = pb.carveI32(pb.tStemQs)
 	p.seedGates = pb.carveI32(pb.tSeed)
 	if n := len(pb.tStemPIs); n > 0 {

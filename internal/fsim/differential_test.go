@@ -52,7 +52,7 @@ func diffCheck(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault,
 }
 
 // diffCheckOpts is diffCheck with a full Options block for the engine
-// under test: forced propagation mode and worker count must both
+// under test: the escalation mode hook and worker count must both
 // reproduce the full-evaluation reference bit for bit.
 func diffCheckOpts(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, opts Options) {
 	t.Helper()

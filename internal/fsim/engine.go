@@ -11,35 +11,29 @@ package fsim
 //   - checks quiescence: a group with no diverged flip-flop and no
 //     activated fault site provably tracks the fault-free machine, and
 //     the whole time unit is skipped,
-//   - otherwise simulates only the group's static active region
-//     (cone.go), with one of two propagation structures picked by the
-//     group's recent activity:
-//
-//     queue mode (sparse divergence) — seeds from diverged flip-flops and
-//     activated sites, then level-ordered event propagation: a gate is
-//     evaluated only when queued by a diverged input or a forcing, with
-//     undiverged inputs read as Broadcast(goodVal). Sound because the
-//     lane-parallel word ops are homomorphic over Broadcast: a gate whose
-//     inputs all equal the broadcast fault-free values computes exactly
-//     the broadcast fault-free output.
-//
-//     dense mode (wide divergence, e.g. the X-rich cycles right after
-//     reset) — materialize the region's boundary and sources once, then
-//     evaluate every region gate with direct word reads, exactly like the
-//     full path but restricted to the region. No per-input laziness, no
-//     queue bookkeeping: when most of the region has diverged anyway, the
-//     straight-line walk is the fastest way through it.
-//
+//   - otherwise propagates divergence through the group's static active
+//     region (cone.go) event-driven: it seeds from diverged flip-flops and
+//     activated sites, then evaluates in level order only the gates queued
+//     by a diverged input or a forcing, reading undiverged inputs as
+//     Broadcast(goodVal). Sound because the lane-parallel word ops are
+//     homomorphic over Broadcast: a gate whose inputs all equal the
+//     broadcast fault-free values computes exactly the broadcast
+//     fault-free output,
 //   - detects only at region primary outputs and captures next state only
 //     at region flip-flops; everything else implicitly holds the
 //     fault-free state.
+//
+// Event-driven propagation is the only region structure. A group whose
+// region spans most of the netlist and stays hot for consecutive calls is
+// escalated to the full-netlist stepper instead (noteActivity, fsim.go)
+// until its machines reconverge with the fault-free machine.
 //
 // Detected (dropped) lanes are inerted: forcing masks are filtered by the
 // live-lane mask when a plan is loaded, and stale divergence in dead
 // lanes is pinned back to the fault-free value at seed time, so a group
 // whose faults are all detected or inactive reaches quiescence. The
-// results are bit-for-bit identical to the full path in every mode (lanes
-// are independent bit columns, and dead lanes are masked out of every
+// results are bit-for-bit identical to the full path (lanes are
+// independent bit columns, and dead lanes are masked out of every
 // detection and divergence report); the differential tests prove it.
 
 import (
@@ -145,18 +139,8 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 		if !activated {
 			sc.quiescent++
 			sc.skipped += int64(len(e.csr.Out))
-			g.lastEval = 0
 			return 0
 		}
-	}
-
-	// Pick the propagation structure from the group's recent activity
-	// (lastEval: gates evaluated by the last queue step, or diverged
-	// outputs seen by the last dense step). Wide divergence pays for a
-	// straight dense walk of the region; sparse divergence is cheaper
-	// event-driven. The mode test hook can pin either structure.
-	if e.opts.mode == modeDense || (e.opts.mode == modeAuto && int(g.lastEval)*5 > len(p.gates)*2) {
-		return e.stepGroupDense(sc, g, goodVals, state, divDFF)
 	}
 
 	c, csr := e.c, e.csr
@@ -263,9 +247,7 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 		}
 		sc.buckets[lev] = bucket[:0]
 	}
-	evaluated := sc.evaluated - evalStart
-	g.lastEval = int32(evaluated)
-	sc.skipped += int64(len(csr.Out)) - evaluated
+	sc.skipped += int64(len(csr.Out)) - (sc.evaluated - evalStart)
 
 	// Detection at the region's primary outputs: an undiverged output
 	// equals the fault-free value in every lane and cannot detect.
@@ -312,132 +294,6 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 	return det
 }
 
-// stepGroupDense evaluates one time unit over the whole region with
-// direct word reads: boundary signals and sources are materialized once,
-// then every region gate is evaluated in topological order, exactly like
-// the full-netlist path but restricted to the region. It maintains the
-// same sparse state representation as the queue path, so the two modes
-// interleave freely.
-func (e *Engine) stepGroupDense(sc *scratch, g *group, goodVals []logic.Value, state []logic.Word, divDFF *[]int32) uint64 {
-	p := &g.plan
-	c, csr := e.c, e.csr
-	alive := g.alive
-	words := sc.words
-
-	// Materialize the region's inputs: boundary signals carry the
-	// broadcast fault-free value, region flip-flop outputs carry the
-	// (sparse) machine state, and stem forces apply at the sources.
-	for _, sig := range p.boundary {
-		words[sig] = bcast[goodVals[sig]]
-	}
-	for _, di := range p.dffs {
-		q := c.DFFs[di].Q
-		words[q] = bcast[goodVals[q]]
-	}
-	for _, di := range p.stemQs {
-		// A stem-forced Q whose flip-flop lies outside the region (its D
-		// never diverges) is not covered by the loop above.
-		q := c.DFFs[di].Q
-		words[q] = bcast[goodVals[q]]
-	}
-	for _, di := range *divDFF {
-		q := c.DFFs[di].Q
-		words[q] = mixAlive(state[di], bcast[goodVals[q]], alive)
-	}
-	for _, di := range p.stemQs {
-		q := c.DFFs[di].Q
-		words[q] = forceWord(words[q], sc.stem0[q], sc.stem1[q])
-	}
-	for _, sig := range p.stemPIs {
-		words[sig] = forceWord(bcast[goodVals[sig]], sc.stem0[sig], sc.stem1[sig])
-	}
-
-	// Evaluate every region gate; count diverged outputs so the activity
-	// predictor can switch back to queue mode when divergence narrows.
-	diverged := 0
-	for _, gi := range p.gates {
-		ins := csr.In[csr.InOff[gi]:csr.InOff[gi+1]]
-		var v logic.Word
-		if bf := sc.branchAt[gi]; len(bf) != 0 {
-			v = evalForcedFlat(words, csr.Type[gi], ins, bf)
-		} else {
-			v = words[ins[0]]
-			switch csr.Type[gi] {
-			case netlist.Buf:
-			case netlist.Not:
-				v = v.Not()
-			case netlist.And:
-				for _, in := range ins[1:] {
-					v = v.And(words[in])
-				}
-			case netlist.Nand:
-				for _, in := range ins[1:] {
-					v = v.And(words[in])
-				}
-				v = v.Not()
-			case netlist.Or:
-				for _, in := range ins[1:] {
-					v = v.Or(words[in])
-				}
-			case netlist.Nor:
-				for _, in := range ins[1:] {
-					v = v.Or(words[in])
-				}
-				v = v.Not()
-			case netlist.Xor:
-				for _, in := range ins[1:] {
-					v = v.Xor(words[in])
-				}
-			case netlist.Xnor:
-				for _, in := range ins[1:] {
-					v = v.Xor(words[in])
-				}
-				v = v.Not()
-			}
-		}
-		out := csr.Out[gi]
-		if m0, m1 := sc.stem0[out], sc.stem1[out]; m0|m1 != 0 {
-			v = forceWord(v, m0, m1)
-		}
-		if v != bcast[goodVals[out]] {
-			diverged++
-		}
-		words[out] = v
-	}
-	g.lastEval = int32(diverged)
-	sc.evaluated += int64(len(p.gates))
-	sc.skipped += int64(len(csr.Out) - len(p.gates))
-
-	// Detection at the region's primary outputs.
-	var det uint64
-	for _, pp := range p.pos {
-		po := c.POs[pp]
-		switch goodVals[po] {
-		case logic.Zero:
-			det |= words[po].DefiniteOne()
-		case logic.One:
-			det |= words[po].DefiniteZero()
-		}
-	}
-
-	// Capture next state at the region's flip-flops, rebuilding the
-	// sparse diverged list.
-	sc.newDiv = sc.newDiv[:0]
-	for _, di := range p.dffs {
-		d := c.DFFs[di].D
-		w := words[d]
-		if m0, m1 := sc.dff0[di], sc.dff1[di]; m0|m1 != 0 {
-			w = forceWord(w, m0, m1)
-		}
-		if w != bcast[goodVals[d]] {
-			state[di] = w
-			sc.newDiv = append(sc.newDiv, di)
-		}
-	}
-	*divDFF, sc.newDiv = sc.newDiv, (*divDFF)[:0]
-	return det
-}
-
 // evalForcedLazy evaluates a gate whose input pins carry branch-forced
 // lanes, reading undiverged inputs as broadcast fault-free values.
 func evalForcedLazy(sc *scratch, goodVals []logic.Value, t netlist.GateType, ins []int32, bf []pinForce) logic.Word {
@@ -450,48 +306,27 @@ func evalForcedLazy(sc *scratch, goodVals []logic.Value, t netlist.GateType, ins
 		}
 		return w
 	}
-	return evalForcedWith(t, len(ins), in)
-}
-
-// evalForcedFlat evaluates a gate whose input pins carry branch-forced
-// lanes over dense per-signal words (the dense-mode companion of
-// evalForcedLazy).
-func evalForcedFlat(words []logic.Word, t netlist.GateType, ins []int32, bf []pinForce) logic.Word {
-	in := func(p int) logic.Word {
-		w := words[ins[p]]
-		for i := range bf {
-			if int(bf[i].pin) == p {
-				w = forceWord(w, bf[i].m0, bf[i].m1)
-			}
-		}
-		return w
-	}
-	return evalForcedWith(t, len(ins), in)
-}
-
-// evalForcedWith folds a gate function over the pin-indexed input reader.
-func evalForcedWith(t netlist.GateType, numIns int, in func(int) logic.Word) logic.Word {
 	v := in(0)
 	switch t {
 	case netlist.Buf:
 	case netlist.Not:
 		v = v.Not()
 	case netlist.And, netlist.Nand:
-		for p := 1; p < numIns; p++ {
+		for p := 1; p < len(ins); p++ {
 			v = v.And(in(p))
 		}
 		if t == netlist.Nand {
 			v = v.Not()
 		}
 	case netlist.Or, netlist.Nor:
-		for p := 1; p < numIns; p++ {
+		for p := 1; p < len(ins); p++ {
 			v = v.Or(in(p))
 		}
 		if t == netlist.Nor {
 			v = v.Not()
 		}
 	case netlist.Xor, netlist.Xnor:
-		for p := 1; p < numIns; p++ {
+		for p := 1; p < len(ins); p++ {
 			v = v.Xor(in(p))
 		}
 		if t == netlist.Xnor {

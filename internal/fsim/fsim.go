@@ -174,10 +174,6 @@ type group struct {
 	state  []logic.Word
 	divDFF []int32
 
-	// lastEval is the gate count the previous time unit evaluated — the
-	// activity predictor that picks the propagation structure (engine.go).
-	lastEval int32
-
 	// Escalation state (modeAuto): hotCalls counts consecutive committing
 	// calls whose average activity exceeded the escalation threshold;
 	// escalated groups run the full-netlist stepper with dense state until
@@ -271,7 +267,7 @@ type scratch struct {
 	epoch     int32
 	sigEpoch  []int32   // per signal: stamped when diverged this time unit
 	gateEpoch []int32   // per gate: stamped when queued this time unit
-	buckets   [][]int32 // per-level gate worklists (queue mode)
+	buckets   [][]int32 // per-level gate worklists
 	maxLev    int32     // deepest level queued this time unit
 	newDiv    []int32
 
@@ -302,8 +298,8 @@ func newScratch(c *netlist.Circuit) *scratch {
 
 // levelBuckets allocates the per-level gate worklists at their exact
 // worst-case capacities (every gate of the level queued), carved from one
-// flat backing array. push can then never grow a bucket, so the queue
-// mode allocates nothing after construction.
+// flat backing array. push can then never grow a bucket, so event
+// propagation allocates nothing after construction.
 func levelBuckets(csr *netlist.CSR) [][]int32 {
 	counts := make([]int32, csr.MaxLevel+1)
 	for _, lev := range csr.Level {
@@ -529,7 +525,6 @@ func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence
 		if len(g.divDFF) == 0 {
 			g.escalated = false
 			g.hotCalls = 0
-			g.lastEval = 0
 		}
 	} else if !e.fullEval {
 		e.noteActivity(sc, g, sc.evaluated-evalBefore, steps)
@@ -541,9 +536,10 @@ func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence
 // escRegionNum/escRegionDen of the netlist AND its measured activity
 // (gates evaluated per time unit) stays above escActivityNum/
 // escActivityDen of the region for escalateAfter consecutive committing
-// calls. Only then is the flat full walk — no boundary materialization,
-// no sparse capture, no per-unit quiescence probing — cheaper than the
-// region engine; for small regions the cone restriction always wins.
+// calls. Only then is the flat full walk — no event queue, no lazy
+// input reads, no sparse capture, no per-unit quiescence probing —
+// cheaper than the region engine; for small regions the cone restriction
+// always wins.
 const (
 	escRegionNum, escRegionDen     = 3, 4
 	escActivityNum, escActivityDen = 1, 4

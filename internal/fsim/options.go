@@ -15,25 +15,22 @@ import (
 	"seqbist/internal/vectors"
 )
 
-// propMode selects the propagation structure of the active-region engine.
-// Only the differential tests pin a structure; production engines always
-// run modeAuto.
+// propMode selects how the active-region engine treats hot groups. Only
+// the differential tests pin a mode; production engines always run
+// modeAuto.
 type propMode int
 
 const (
-	// modeAuto picks per group and per time unit between event-driven
-	// (queue) and dense-region propagation from recent activity, and
-	// escalates persistently hot whole-netlist groups to the flat full
-	// stepper.
+	// modeAuto propagates every group event-driven and escalates
+	// persistently hot whole-netlist groups to the flat full stepper.
 	modeAuto propMode = iota
-	// modeQueue forces event-driven level-ordered propagation.
+	// modeQueue never escalates: every step runs event-driven
+	// level-ordered propagation.
 	modeQueue
-	// modeDense forces dense region walks.
-	modeDense
 )
 
 // Options configures an Engine. The zero value is the default
-// configuration: serial, adaptive propagation. Every Engine packs 64
+// configuration: serial, active-region propagation with escalation. Every Engine packs 64
 // faulty machines per group, one per bit of a uint64 word.
 type Options struct {
 	// Workers is the goroutine count for the cone-sharded group
@@ -46,7 +43,7 @@ type Options struct {
 	// group, every time unit. It is the differential-testing reference.
 	FullEvaluation bool
 
-	// mode is the test hook that pins the propagation structure.
+	// mode is the test hook that switches escalation off.
 	mode propMode
 }
 
@@ -57,7 +54,7 @@ func (o Options) normalize() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.mode != modeAuto && o.mode != modeQueue && o.mode != modeDense {
+	if o.mode != modeAuto && o.mode != modeQueue {
 		panic(fmt.Sprintf("fsim: unknown propagation mode %d", int(o.mode)))
 	}
 	return o
@@ -139,7 +136,6 @@ func (e *Engine) Reset() {
 			g.state[i] = logic.AllX()
 		}
 		g.divDFF = g.divDFF[:0]
-		g.lastEval = 0
 		g.hotCalls = 0
 		g.escalated = false
 	}

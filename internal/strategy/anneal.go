@@ -34,7 +34,6 @@ const (
 )
 
 func (anneal) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Config) (*Outcome, error) {
-	cfg = cfg.withDefaults()
 	e, err := newEvaluator(c, fl, t0, cfg)
 	if err != nil {
 		return nil, err
@@ -54,7 +53,7 @@ func (anneal) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence,
 	if temp < 1 {
 		temp = 1
 	}
-	for step := 0; step < cfg.AnnealSteps; step++ {
+	for step := 0; step < annealSteps; step++ {
 		cand := append([]int(nil), cur...)
 		i := rng.Intn(len(cand))
 		j := rng.Intn(len(cand) - 1)

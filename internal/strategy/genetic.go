@@ -36,7 +36,6 @@ type indiv struct {
 }
 
 func (genetic) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Config) (*Outcome, error) {
-	cfg = cfg.withDefaults()
 	e, err := newEvaluator(c, fl, t0, cfg)
 	if err != nil {
 		return nil, err
@@ -52,7 +51,7 @@ func (genetic) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence
 
 	rng := xrand.New(cfg.Core.Seed).Fork(geneticLabel)
 	pop := []indiv{{order: base, res: baseRes}}
-	for len(pop) < cfg.Population {
+	for len(pop) < geneticPopulation {
 		p := append([]int(nil), base...)
 		rng.Shuffle(p)
 		r, err := e.eval(p)
@@ -68,10 +67,10 @@ func (genetic) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence
 	}
 	rank()
 
-	for gen := 0; gen < cfg.Generations; gen++ {
+	for gen := 0; gen < geneticGenerations; gen++ {
 		elite := (len(pop) + 1) / 2
 		next := append([]indiv(nil), pop[:elite]...)
-		for len(next) < cfg.Population {
+		for len(next) < geneticPopulation {
 			pa := pop[rng.Intn(elite)].order
 			pb := pop[rng.Intn(elite)].order
 			child := orderCrossover(pa, pb, rng)

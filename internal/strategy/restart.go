@@ -14,7 +14,7 @@ func init() { register(restart{}) }
 const restartLabel = 0x7265737461727400 // "restart\0"
 
 // restart is seeded random-restart greedy: trial 0 evaluates the paper's
-// greedy target order, the remaining Config.Restarts-1 trials evaluate
+// greedy target order, the remaining restartTrials-1 trials evaluate
 // independent seeded shuffles of it, and the cheapest stored set wins.
 // The simplest portfolio member beyond the baseline — it can only tie or
 // beat greedy under the strategy comparator (the greedy order is always
@@ -24,7 +24,6 @@ type restart struct{}
 func (restart) Name() string { return "restart" }
 
 func (restart) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Config) (*Outcome, error) {
-	cfg = cfg.withDefaults()
 	e, err := newEvaluator(c, fl, t0, cfg)
 	if err != nil {
 		return nil, err
@@ -35,7 +34,7 @@ func (restart) Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence
 		return nil, err
 	}
 	rng := xrand.New(cfg.Core.Seed).Fork(restartLabel)
-	for t := 1; t < cfg.Restarts && len(order) > 1; t++ {
+	for t := 1; t < restartTrials && len(order) > 1; t++ {
 		perm := append([]int(nil), order...)
 		rng.Shuffle(perm)
 		r, err := e.eval(perm)

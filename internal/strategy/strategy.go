@@ -45,9 +45,7 @@ const (
 	Race = "race"
 )
 
-// Config parameterizes one strategy run. The zero value of every knob is
-// replaced by a small default, sized so the non-greedy strategies cost a
-// bounded multiple of one greedy run.
+// Config parameterizes one strategy run.
 type Config struct {
 	// Core is the Procedure 1/2 configuration every trial runs under
 	// (N, Seed, omission budget, parallelism, Interrupt). Seed is the
@@ -57,33 +55,20 @@ type Config struct {
 	// candidates without §3.2 compaction, mirroring the pipeline flag so
 	// the race is judged by the same numbers the pipeline reports.
 	SkipCompact bool
-
-	// Restarts is restart's trial count, including the greedy-order
-	// baseline trial (default 4).
-	Restarts int
-	// Population and Generations size genetic's search (defaults 6, 4).
-	Population  int
-	Generations int
-	// AnnealSteps is anneal's move count (default 24).
-	AnnealSteps int
 }
 
-// withDefaults resolves zero knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.Restarts < 1 {
-		cfg.Restarts = 4
-	}
-	if cfg.Population < 2 {
-		cfg.Population = 6
-	}
-	if cfg.Generations < 1 {
-		cfg.Generations = 4
-	}
-	if cfg.AnnealSteps < 1 {
-		cfg.AnnealSteps = 24
-	}
-	return cfg
-}
+// Search sizes of the non-greedy strategies, chosen so each costs a
+// bounded multiple of one greedy run.
+const (
+	// restartTrials is restart's trial count, including the greedy-order
+	// baseline trial.
+	restartTrials = 4
+	// geneticPopulation and geneticGenerations size genetic's search.
+	geneticPopulation  = 6
+	geneticGenerations = 4
+	// annealSteps is anneal's move count.
+	annealSteps = 24
+)
 
 // Outcome is what a strategy returns: the winning (pre-compaction)
 // selection plus provenance. The pipeline compacts Result exactly as it

@@ -19,13 +19,14 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_17.json via scripts/bench_check.sh.
+# the counts against BENCH_21.json via scripts/bench_check.sh.
 #
-# BENCH_17.json in the repository root records the one-two-machine-
-# simulator round (before/after timings of BenchmarkT0Compaction and
-# BenchmarkFaultSimSingle) plus the expected detection counts of every
-# leg; BENCH_15.json, BENCH_14.json, BENCH_13.json, BENCH_12.json,
-# BENCH_9.json and BENCH_3.json hold the earlier rounds' records.
+# BENCH_21.json in the repository root records the one-region-stepper
+# round (before/after timings of BenchmarkFaultSimLarge and
+# BenchmarkFaultSimEvaluate) plus the expected detection counts of every
+# leg; BENCH_17.json, BENCH_15.json, BENCH_14.json, BENCH_13.json,
+# BENCH_12.json, BENCH_9.json and BENCH_3.json hold the earlier rounds'
+# records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
