@@ -11,7 +11,6 @@
 package seqbist_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -452,42 +451,17 @@ func BenchmarkSeedStability(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Service and sharded-simulation benchmarks.
-
-// BenchmarkFaultSimSharded measures the group-sharded parallel scheduler
-// against the serial path on a circuit whose fault list spans many
-// 64-fault groups; ns/op should drop as workers approach GOMAXPROCS.
-// Results are bit-for-bit identical at every worker count.
-func BenchmarkFaultSimSharded(b *testing.B) {
-	c := iscas.MustLoad("s1423")
-	fl := faults.CollapsedUniverse(c)
-	seq := vectors.RandomSequence(xrand.New(1), c.NumPIs(), 200)
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		counts = append(counts, p)
-	}
-	for _, workers := range counts {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			b.ReportMetric(float64((len(fl)+63)/64), "fault_groups")
-			var det int
-			for i := 0; i < b.N; i++ {
-				det = fsim.New(c, fl, fsim.Options{Workers: workers}).Run(seq).NumDetected
-			}
-			b.ReportMetric(float64(det), "detected")
-		})
-	}
-}
+// Service benchmarks.
 
 // BenchmarkServiceThroughput measures end-to-end throughput of the
 // synthesis service: each iteration submits a batch of 8 distinct jobs
 // and waits for them all. The cache is disabled so every job runs the
-// full pipeline; the serial fsim setting keeps the worker pool the only
-// source of parallelism.
+// full pipeline; the worker pool is the only source of parallelism.
 func BenchmarkServiceThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			svc := service.New(service.Config{
-				Workers: workers, QueueDepth: 256, CacheSize: -1, SimParallelism: 1,
+				Workers: workers, QueueDepth: 256, CacheSize: -1,
 			})
 			defer svc.Close()
 			seed := uint64(0)
@@ -497,7 +471,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 				for k := 0; k < 8; k++ {
 					seed++
 					st, err := svc.Submit(service.JobSpec{Circuit: "s298", Config: service.GenConfig{
-						N: 2, Seed: seed, ATPGMaxLen: 300, MaxOmissionTrials: 40, Parallelism: 1,
+						N: 2, Seed: seed, ATPGMaxLen: 300, MaxOmissionTrials: 40,
 					}})
 					if err != nil {
 						b.Fatal(err)
@@ -516,10 +490,10 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // BenchmarkServiceCacheHit measures the content-addressed fast path: a
 // resubmission of completed work is served without any synthesis.
 func BenchmarkServiceCacheHit(b *testing.B) {
-	svc := service.New(service.Config{Workers: 1, SimParallelism: 1})
+	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
 	spec := service.JobSpec{Circuit: "s27", Config: service.GenConfig{
-		N: 1, Seed: 1, ATPGMaxLen: 300, MaxOmissionTrials: 40, Parallelism: 1,
+		N: 1, Seed: 1, ATPGMaxLen: 300, MaxOmissionTrials: 40,
 	}}
 	st, err := svc.Submit(spec)
 	if err != nil {
@@ -679,8 +653,7 @@ func itoa(v int) string {
 
 // BenchmarkFaultSimLarge measures serial whole-fault-list simulation on
 // the largest registry circuits — the Table-3-scale workload the
-// active-region engine targets. Serial so the number isolates the
-// evaluation engine rather than the sharded scheduler.
+// active-region engine targets.
 func BenchmarkFaultSimLarge(b *testing.B) {
 	for _, name := range []string{"s1423", "s5378", "s35932"} {
 		c := iscas.MustLoad(name)
@@ -690,7 +663,7 @@ func BenchmarkFaultSimLarge(b *testing.B) {
 			b.ReportAllocs()
 			var det int
 			for i := 0; i < b.N; i++ {
-				det = fsim.New(c, fl, fsim.Options{Workers: 1}).Run(seq).NumDetected
+				det = fsim.New(c, fl, fsim.Options{}).Run(seq).NumDetected
 			}
 			b.ReportMetric(float64(det), "detected")
 		})
@@ -704,7 +677,7 @@ func BenchmarkFaultSimEvaluate(b *testing.B) {
 	for _, name := range []string{"s1423", "s5378"} {
 		c := iscas.MustLoad(name)
 		fl := faults.CollapsedUniverse(c)
-		inc := fsim.New(c, fl, fsim.Options{Workers: 1})
+		inc := fsim.New(c, fl, fsim.Options{})
 		inc.Extend(vectors.RandomSequence(xrand.New(2), c.NumPIs(), 50))
 		cand := vectors.RandomSequence(xrand.New(3), c.NumPIs(), 32)
 		b.Run(name, func(b *testing.B) {
@@ -754,7 +727,6 @@ func BenchmarkFaultSimSingle(b *testing.B) {
 func BenchmarkProcedure2(b *testing.B) {
 	s := setupFor(b, "s1423")
 	cfg := core.DefaultConfig(4)
-	cfg.Parallelism = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	var det, sims int
@@ -792,7 +764,6 @@ var (
 func BenchmarkCompactVerify(b *testing.B) {
 	s := setupFor(b, "s1423")
 	cfg := core.DefaultConfig(4)
-	cfg.Parallelism = 1
 	compactVerifyOnce.Do(func() { compactVerifyRes, compactVerifyErr = core.Select(s.c, s.fl, s.t0, cfg) })
 	if compactVerifyErr != nil {
 		b.Fatal(compactVerifyErr)
@@ -825,7 +796,6 @@ func BenchmarkStrategyPortfolio(b *testing.B) {
 		Seed:              1,
 		OmissionRestart:   true,
 		MaxOmissionTrials: 20,
-		Parallelism:       runtime.GOMAXPROCS(0),
 	}}
 	for _, name := range strategy.Concrete() {
 		strat, err := strategy.Get(name)

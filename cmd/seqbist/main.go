@@ -60,7 +60,6 @@ func run(args []string, stdout io.Writer) error {
 	t0File := fs.String("t0", "", "optional file with T0 (whitespace-separated vectors); otherwise ATPG generates it")
 	skipCompact := fs.Bool("no-compact", false, "skip §3.2 static compaction of S")
 	verilogOut := fs.String("verilog", "", "write the on-chip BIST hardware (expander + MISR) as Verilog to this path")
-	fsimWorkers := fs.Int("fsim-workers", 0, "fault-simulation goroutines (0 = one per CPU, 1 = serial)")
 	workers := fs.Int("workers", 4, "ephemeral daemon worker-pool size (with -sweep and no -server)")
 	sweepList := fs.String("sweep", "", "batch sweep: comma-separated registry names and/or .bench paths, or \"table3\"")
 	serverURL := fs.String("server", "", "daemon base URL for -sweep (empty = run an ephemeral in-process daemon)")
@@ -73,7 +72,6 @@ func run(args []string, stdout io.Writer) error {
 		Seed:              *seed,
 		MaxOmissionTrials: *maxTrials,
 		SkipCompact:       *skipCompact,
-		Parallelism:       *fsimWorkers,
 		Strategy:          *stratName,
 	}
 	if *sweepList != "" {

@@ -55,7 +55,7 @@ func main() {
 	workers := flag.Int("workers", 4, "synthesis worker-pool size")
 	queue := flag.Int("queue", 64, "pending-job queue capacity")
 	cacheSize := flag.Int("cache", 128, "result-cache entries (negative disables)")
-	simWorkers := flag.Int("sim-workers", 0, "per-job fault-simulation goroutines (0 = one per CPU)")
+	flag.Int("sim-workers", 0, "deprecated, ignored: every job's fault simulation runs on its worker's goroutine; scale with -workers")
 	maxSweep := flag.Int("max-sweep-members", 0, "max circuits per sweep (0 = default 64)")
 	maxBench := flag.Int64("max-bench-bytes", 0, "uploaded .bench size cap in bytes (0 = default 1 MiB, negative = unlimited)")
 	maxSignals := flag.Int("max-bench-signals", 0, "uploaded netlist signal cap (0 = default 250k, negative = unlimited)")
@@ -103,7 +103,6 @@ func main() {
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheSize:       *cacheSize,
-		SimParallelism:  *simWorkers,
 		MaxSweepMembers: *maxSweep,
 		BenchLimits:     benchLimits(*maxBench, *maxSignals),
 		LeaseTTL:        *leaseTTL,

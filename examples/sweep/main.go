@@ -79,7 +79,7 @@ func main() {
 // batchSweep is part 2: one POST /v1/sweeps over several circuits through
 // a live (in-process) daemon, streamed as NDJSON.
 func batchSweep() {
-	svc := service.New(service.Config{Workers: 2, SimParallelism: 1})
+	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()

@@ -109,7 +109,7 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 				}
 			}
 			if len(sub) > 0 {
-				r := fsim.New(c, sub, cfg.simOptions()).Run(expand.Compose(res.Set[p].Seq, cfg.N, cfg.expandOps()))
+				r := fsim.Run(c, sub, expand.Compose(res.Set[p].Seq, cfg.N, cfg.expandOps()))
 				for j, k := range subK {
 					tst[k/64] |= 1 << (k % 64)
 					if r.Detected[j] {
@@ -163,7 +163,7 @@ func VerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Se
 		for _, fi := range live {
 			sub = append(sub, fl[fi])
 		}
-		r := fsim.New(c, sub, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		r := fsim.Run(c, sub, expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
 		k := 0
 		for j, fi := range live {
 			if !r.Detected[j] {

@@ -69,9 +69,8 @@ type Config struct {
 	// value means the paper's full set). Subsets exist for the
 	// manipulation ablation; the coverage guarantee holds for any subset.
 	ExpandOps expand.Ops
-	// Parallelism is the goroutine count for the sharded fault simulator
-	// that backs Procedure 1's bulk simulations (0 = one worker per CPU,
-	// 1 = serial). Any value yields identical results; see fsim.Options.
+	// Deprecated: ignored. Every fault simulation runs on the calling
+	// goroutine; the field remains so existing callers still compile.
 	Parallelism int
 	// Deprecated: ignored. The fault simulator always packs 64 faults
 	// per group; the field remains so existing callers still compile.
@@ -86,19 +85,6 @@ type Config struct {
 
 // ErrInterrupted is returned by Select/Run when Config.Interrupt fired.
 var ErrInterrupted = errors.New("core: selection interrupted")
-
-// simWorkers resolves the fault-simulation parallelism.
-func (cfg Config) simWorkers() int {
-	if cfg.Parallelism > 0 {
-		return cfg.Parallelism
-	}
-	return fsim.DefaultParallelism()
-}
-
-// simOptions assembles the fsim.Options for the bulk simulations.
-func (cfg Config) simOptions() fsim.Options {
-	return fsim.Options{Workers: cfg.simWorkers()}
-}
 
 // interrupted polls the cancellation hook.
 func (cfg Config) interrupted() bool {
@@ -209,8 +195,8 @@ type Result struct {
 // of candidate expanded sequences — runs on the reused fsim.Batch, which
 // scores up to 64 candidates per pass, one per word lane, straight from
 // the packed copy of T0 (DESIGN.md §8); the bulk simulations of
-// Procedure 1 and §3.2 compaction go through a sharded active-region
-// fsim.Engine built from cfg.simOptions().
+// Procedure 1 and §3.2 compaction go through an active-region
+// fsim.Engine.
 type Selector struct {
 	c    *netlist.Circuit
 	fl   []faults.Fault
@@ -267,7 +253,7 @@ func Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Conf
 // Procedure 1).
 func (sel *Selector) base() *fsim.Result {
 	if sel.baseRes == nil {
-		r := fsim.New(sel.c, sel.fl, sel.cfg.simOptions()).Run(sel.t0)
+		r := fsim.Run(sel.c, sel.fl, sel.t0)
 		sel.baseRes = &r
 	}
 	return sel.baseRes
@@ -397,7 +383,7 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 			}
 		}
 		sexp := expand.Compose(s, sel.cfg.N, sel.cfg.expandOps())
-		r := fsim.New(sel.c, subset, sel.cfg.simOptions()).Run(sexp)
+		r := fsim.Run(sel.c, subset, sexp)
 		newly := 0
 		for k, fi := range subsetIdx {
 			if r.Detected[k] {

@@ -37,7 +37,7 @@ func newSerialOracle(sel *Selector) *serialOracle {
 func (o *serialOracle) simulate(f int, seq vectors.Sequence) fsim.Result {
 	e := o.engines[f]
 	if e == nil {
-		e = fsim.New(o.sel.c, o.sel.fl[f:f+1], fsim.Options{Workers: 1})
+		e = fsim.New(o.sel.c, o.sel.fl[f:f+1], fsim.Options{})
 		o.engines[f] = e
 	}
 	return e.Run(seq)
@@ -70,7 +70,7 @@ func (o *serialOracle) run(targ []int) (*Result, error) {
 				subset = append(subset, sel.fl[fi])
 			}
 		}
-		r := fsim.New(sel.c, subset, fsim.Options{Workers: 1}).Run(expand.Compose(s, sel.cfg.N, sel.cfg.expandOps()))
+		r := fsim.Run(sel.c, subset, expand.Compose(s, sel.cfg.N, sel.cfg.expandOps()))
 		newly := 0
 		for k, fi := range subsetIdx {
 			if r.Detected[k] {
@@ -368,7 +368,7 @@ func oracleCompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, 
 			}
 			newly := 0
 			if len(live) > 0 {
-				r := fsim.New(c, live, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+				r := fsim.Run(c, live, expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
 				for k := range live {
 					if r.Detected[k] {
 						covered[liveIdx[k]] = true
@@ -408,7 +408,7 @@ func oracleVerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, se
 	}
 	covered := make([]bool, len(targFl))
 	for _, s := range set {
-		r := fsim.New(c, targFl, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		r := fsim.Run(c, targFl, expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
 		for k := range targFl {
 			if r.Detected[k] {
 				covered[k] = true

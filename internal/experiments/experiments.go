@@ -50,14 +50,10 @@ type Profile struct {
 	// MaxOmissionTrials bounds Procedure 2's omission simulations per
 	// subsequence (0 = unlimited, the paper-faithful setting).
 	MaxOmissionTrials int
-	// Workers is the parallelism across circuits (0 = GOMAXPROCS).
+	// Workers is the parallelism across circuits (0 = GOMAXPROCS). Each
+	// circuit's pipeline, fault simulation included, runs on one
+	// goroutine.
 	Workers int
-	// SimParallelism is the goroutine count for the sharded fault
-	// simulator inside each circuit's pipeline (0 = one worker per CPU,
-	// 1 = serial). Results are identical for any value. RunAll resolves
-	// 0 to serial whenever it runs multiple circuits concurrently, so
-	// the two parallelism levels do not multiply.
-	SimParallelism int
 	// Overrides tunes effort per circuit (nil entries fall back to the
 	// profile-wide settings). Large circuits need bounded omission budgets
 	// to keep the sweep laptop-sized; the paper-faithful unlimited setting
@@ -243,7 +239,7 @@ func RunCircuit(name string, prof Profile) (*CircuitRun, error) {
 		TotalFaults: len(fl),
 		RawT0Len:    rawLen,
 		T0Len:       t0.Len(),
-		SimT0Time:   timeSimT0(c, fl, t0, prof.SimParallelism),
+		SimT0Time:   timeSimT0(c, fl, t0),
 	}
 
 	for _, n := range ns {
@@ -252,7 +248,6 @@ func RunCircuit(name string, prof Profile) (*CircuitRun, error) {
 			Seed:              prof.Seed*2654435761 + uint64(n),
 			OmissionRestart:   true,
 			MaxOmissionTrials: trials,
-			Parallelism:       prof.SimParallelism,
 		}
 		start := time.Now()
 		res, err := core.Select(c, fl, t0, cfg)
@@ -307,17 +302,14 @@ func bestN(runs []NRun) int {
 
 // timeSimT0 measures the wall time of one full fault simulation of T0
 // (the Table 4 normalizer), repeating the measurement until at least
-// 20ms have accumulated so short simulations are timed stably. The
-// simulation runs with the same parallelism as the selection pipeline so
-// the normalized ratios stay comparable.
-func timeSimT0(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, parallelism int) time.Duration {
-	if parallelism < 1 {
-		parallelism = fsim.DefaultParallelism()
-	}
+// 20ms have accumulated so short simulations are timed stably. Like
+// every simulation of the selection pipeline it runs serially, so the
+// normalized ratios do not depend on the host's core count.
+func timeSimT0(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) time.Duration {
 	const minTotal = 20 * time.Millisecond
 	var total time.Duration
 	reps := 0
-	eng := fsim.New(c, fl, fsim.Options{Workers: parallelism})
+	eng := fsim.New(c, fl, fsim.Options{})
 	for total < minTotal && reps < 200 {
 		start := time.Now()
 		eng.Run(t0)
@@ -337,13 +329,6 @@ func RunAll(prof Profile) ([]*CircuitRun, error) {
 	workers := prof.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && prof.SimParallelism == 0 {
-		// Circuit-level parallelism already saturates the CPUs; leaving
-		// the per-circuit simulators at their per-CPU default would
-		// oversubscribe roughly quadratically and time the Table 4
-		// normalizer under contention. An explicit SimParallelism wins.
-		prof.SimParallelism = 1
 	}
 	runs := make([]*CircuitRun, len(prof.Circuits))
 	errs := make([]error, len(prof.Circuits))

@@ -58,7 +58,6 @@ func StrategyStudy(name string, prof Profile, n int, names []string) (*StrategyS
 		Seed:              prof.Seed*2654435761 + uint64(n),
 		OmissionRestart:   true,
 		MaxOmissionTrials: trials,
-		Parallelism:       prof.SimParallelism,
 	}}
 	var bestStats core.Stats
 	for _, sn := range names {

@@ -19,7 +19,7 @@ import (
 // the SetFullEvaluation hook (fullpath.go) — same newly-detected lists in
 // the same order, same divergence counts, same Detected/DetTime/
 // NumDetected, under committing (Extend) and non-committing (Evaluate)
-// use, with binary and X-heavy stimuli, at every worker count.
+// use, with binary and X-heavy stimuli.
 
 // xheavySequence builds a sequence whose values are 0/1/X with equal
 // probability: unknowns exercise the pessimistic three-valued paths the
@@ -46,19 +46,18 @@ func xheavySequence(rng *xrand.RNG, width, n int) vectors.Sequence {
 // diffCheck interleaves Extend and Evaluate calls over chunks of seq on
 // an active-region and a full-evaluation simulator and fails on the first
 // observable difference.
-func diffCheck(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, workers int) {
+func diffCheck(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence) {
 	t.Helper()
-	diffCheckOpts(t, name, c, fl, seq, Options{Workers: workers})
+	diffCheckOpts(t, name, c, fl, seq, Options{})
 }
 
 // diffCheckOpts is diffCheck with a full Options block for the engine
-// under test: the escalation mode hook and worker count must both
-// reproduce the full-evaluation reference bit for bit.
+// under test: the escalation mode hook must reproduce the full-evaluation
+// reference bit for bit.
 func diffCheckOpts(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, opts Options) {
 	t.Helper()
 	active := New(c, fl, opts)
-	full := New(c, fl, Options{Workers: opts.Workers, FullEvaluation: true})
-	workers := opts.Workers
+	full := New(c, fl, Options{FullEvaluation: true})
 
 	chunk := 7
 	for start := 0; start < seq.Len(); start += chunk {
@@ -71,23 +70,23 @@ func diffCheckOpts(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fa
 		na, da := active.Evaluate(part)
 		nf, df := full.Evaluate(part)
 		if !reflect.DeepEqual(na, nf) {
-			t.Fatalf("%s workers=%d [%d,%d): Evaluate newly differ: active %v, full %v",
-				name, workers, start, end, na, nf)
+			t.Fatalf("%s [%d,%d): Evaluate newly differ: active %v, full %v",
+				name, start, end, na, nf)
 		}
 		if da != df {
-			t.Fatalf("%s workers=%d [%d,%d): divergence %d != %d", name, workers, start, end, da, df)
+			t.Fatalf("%s [%d,%d): divergence %d != %d", name, start, end, da, df)
 		}
 		// Committing pass.
 		na = active.Extend(part)
 		nf = full.Extend(part)
 		if !reflect.DeepEqual(na, nf) {
-			t.Fatalf("%s workers=%d [%d,%d): Extend newly differ: active %v, full %v",
-				name, workers, start, end, na, nf)
+			t.Fatalf("%s [%d,%d): Extend newly differ: active %v, full %v",
+				name, start, end, na, nf)
 		}
 	}
 	ra, rf := active.Result(), full.Result()
 	if !reflect.DeepEqual(ra, rf) {
-		t.Fatalf("%s workers=%d: final results differ", name, workers)
+		t.Fatalf("%s: final results differ", name)
 	}
 }
 
@@ -107,23 +106,19 @@ func TestActiveRegionMatchesFullRegistry(t *testing.T) {
 			continue
 		}
 		rng := xrand.New(uint64(len(name)) * 7919)
-		diffCheck(t, name, c, fl, vectors.RandomSequence(rng, c.NumPIs(), n), 1)
-		diffCheck(t, name+"/xheavy", c, fl, xheavySequence(rng, c.NumPIs(), n), 1)
+		diffCheck(t, name, c, fl, vectors.RandomSequence(rng, c.NumPIs(), n))
+		diffCheck(t, name+"/xheavy", c, fl, xheavySequence(rng, c.NumPIs(), n))
 	}
 }
 
-// TestActiveRegionMatchesFullSharded repeats the check under the sharded
-// scheduler: the active engine must stay identical to the full path at
-// every worker count.
+// TestActiveRegionMatchesFullSharded repeats the check on s298 and s1423
+// under a second fixed stimulus.
 func TestActiveRegionMatchesFullSharded(t *testing.T) {
 	for _, name := range []string{"s298", "s1423"} {
 		c := iscas.MustLoad(name)
 		fl := faults.CollapsedUniverse(c)
 		rng := xrand.New(4242)
-		seq := vectors.RandomSequence(rng, c.NumPIs(), 60)
-		for _, w := range []int{2, 4} {
-			diffCheck(t, name, c, fl, seq, w)
-		}
+		diffCheck(t, name, c, fl, vectors.RandomSequence(rng, c.NumPIs(), 60))
 	}
 }
 
@@ -159,8 +154,8 @@ z = XOR(n1, q1)
 			stems, kinds[netlist.ConsumerGate], kinds[netlist.ConsumerDFF])
 	}
 	rng := xrand.New(99)
-	diffCheck(t, "kinds", c, fl, vectors.RandomSequence(rng, c.NumPIs(), 40), 1)
-	diffCheck(t, "kinds/xheavy", c, fl, xheavySequence(rng, c.NumPIs(), 40), 1)
+	diffCheck(t, "kinds", c, fl, vectors.RandomSequence(rng, c.NumPIs(), 40))
+	diffCheck(t, "kinds/xheavy", c, fl, xheavySequence(rng, c.NumPIs(), 40))
 }
 
 // TestQuiescenceCounters checks the efficiency gauges: a group whose only
@@ -199,7 +194,7 @@ func TestSimStatsAccounting(t *testing.T) {
 	fl := faults.CollapsedUniverse(c)
 	seq := vectors.RandomSequence(xrand.New(5), c.NumPIs(), 30)
 	before := Stats()
-	New(c, fl, Options{Workers: 1}).Run(seq)
+	New(c, fl, Options{}).Run(seq)
 	after := Stats()
 	total := (after.GatesEvaluated - before.GatesEvaluated) + (after.GatesSkipped - before.GatesSkipped)
 	if total <= 0 || total%int64(c.NumGates()) != 0 {

@@ -48,21 +48,15 @@ func TestEscalationMatchesFull(t *testing.T) {
 	}
 }
 
-// TestEscalationSharded repeats the escalation differential under the
-// cone-sharded scheduler: per-group escalation state is owned by exactly
-// one worker per call, and results must stay identical.
+// TestEscalationSharded repeats the escalation differential through
+// Run's chunked early-exit schedule on a second X-heavy stimulus.
 func TestEscalationSharded(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
-	rng := xrand.New(23)
-	seq := xheavySequence(rng, c.NumPIs(), 90)
-	want := New(c, fl, Options{FullEvaluation: true})
-	wref := want.Run(seq)
-	for _, w := range []int{2, 4} {
-		e := New(c, fl, Options{Workers: w})
-		if got := e.Run(seq); !reflect.DeepEqual(got, wref) {
-			t.Fatalf("workers=%d: escalated run differs from full reference", w)
-		}
+	seq := xheavySequence(xrand.New(23), c.NumPIs(), 90)
+	want := New(c, fl, Options{FullEvaluation: true}).Run(seq)
+	if got := New(c, fl, Options{}).Run(seq); !reflect.DeepEqual(got, want) {
+		t.Fatal("escalated run differs from full reference")
 	}
 }
 

@@ -150,11 +150,27 @@ func POTrace(c *netlist.Circuit, f faults.Fault, seq vectors.Sequence) [][]logic
 }
 
 // Run fault-simulates seq from the all-unknown state against the given
-// fault list and returns per-fault detection results. It shards the fault
-// groups across DefaultParallelism goroutines; the results are identical
-// to any other worker count.
+// fault list and returns per-fault detection results.
 func Run(c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence) Result {
-	return New(c, fl, Options{Workers: DefaultParallelism()}).Run(seq)
+	return New(c, fl, Options{}).Run(seq)
+}
+
+// earlyExitStride is the number of time units Run extends between checks
+// of the all-detected early-exit condition. It scales with the circuit's
+// sequential depth (memoized on the Circuit): a fault needs at least that
+// many cycles to traverse the state registers to an observation point, so
+// shallow circuits can afford frequent checks and exit as soon as
+// coverage completes, while deep circuits use longer chunks that amortize
+// trace construction.
+func earlyExitStride(c *netlist.Circuit) int {
+	stride := 4 * (c.SequentialDepth() + 1)
+	if stride < 8 {
+		stride = 8
+	}
+	if stride > 256 {
+		stride = 256
+	}
+	return stride
 }
 
 // group is one batch of up to 64 faults simulated bit-parallel, with the
@@ -212,19 +228,8 @@ type Engine struct {
 	groups  []group
 	liveBuf []int
 
-	// sc is the serial path's scratch; the sharded scheduler draws one
-	// private scratch per worker from workerScratch instead (parallel.go).
-	sc            *scratch
-	workers       int
-	workerScratch []*scratch
-
-	// Cone-aware static shards for the parallel scheduler: shards[w]
-	// lists the group indices worker w owns (parallel.go). Rebuilt when
-	// enough groups die that the balance drifts. conesBuf pools the
-	// region-list view handed to netlist.ConePartition.
-	shards    [][]int
-	shardLive int
-	conesBuf  [][]int32
+	// sc is the propagation scratch every group is stepped through.
+	sc *scratch
 
 	// fullEval selects the full-netlist evaluation path (fullpath.go);
 	// the Options.FullEvaluation reference mode.
@@ -240,19 +245,14 @@ type Engine struct {
 	numDet   int
 	now      int // absolute time units simulated so far
 
-	// Pooled merge buffers for the parallel Evaluate path.
-	newlyBuf [][]int
-	divBuf   []int
-
 	// stride memoizes earlyExitStride(c) for Run's chunking.
 	stride int
 }
 
 // scratch holds the per-signal/gate/dff forcing masks, value words, and
 // event-propagation state one simulation pass needs. The mask arrays are
-// populated once per group per call (loadPlan/unloadPlan); each concurrent
-// shard owns its own scratch so groups can be simulated in parallel
-// without shared mutable state.
+// populated once per group per call (loadPlan/unloadPlan) and cleared
+// afterwards, so one scratch serves every group of the Engine in turn.
 type scratch struct {
 	stem0, stem1 []uint64
 	branchAt     [][]pinForce // per gate
@@ -455,10 +455,6 @@ type detection struct {
 // Extend simulates the vectors of seq (continuing from the current state),
 // commits the resulting machine states, and returns the indices of newly
 // detected faults. Detected faults are dropped from future simulation.
-//
-// With Options.Workers > 1 and more than one live group, the cone-sharded
-// scheduler in parallel.go runs instead; it returns identical detections
-// in the identical order.
 func (e *Engine) Extend(seq vectors.Sequence) []int {
 	patternsApplied.Add(int64(len(seq)))
 	e.estat.PatternsApplied += int64(len(seq))
@@ -467,13 +463,9 @@ func (e *Engine) Extend(seq vectors.Sequence) []int {
 	}
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTraceCommit(seq)
-	live := e.liveGroups()
-	if e.workers > 1 && len(live) > 1 {
-		return e.extendParallel(seq, goodVals, live)
-	}
 	sc := e.sc
 	sc.dets = sc.dets[:0]
-	for _, gi := range live {
+	for _, gi := range e.liveGroups() {
 		e.extendGroup(sc, &e.groups[gi], gi, seq, goodVals)
 	}
 	newly := e.mergeDetections(sc.dets, len(seq))
@@ -653,11 +645,7 @@ func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 	}
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTracePeek(seq)
-	live := e.liveGroups()
-	if e.workers > 1 && len(live) > 1 {
-		return e.evaluateParallel(seq, goodVals, live)
-	}
-	for _, gi := range live {
+	for _, gi := range e.liveGroups() {
 		g := &e.groups[gi]
 		detAll := e.evaluateGroup(e.sc, g, seq, goodVals, &divergence)
 		for detAll != 0 {
@@ -757,6 +745,20 @@ func (e *Engine) NumDetected() int { return e.numDet }
 
 // Now returns the number of time units simulated so far.
 func (e *Engine) Now() int { return e.now }
+
+// liveGroups returns the indices of groups that still carry undetected
+// faults. The returned slice is pooled on the Engine and valid until the
+// next call.
+func (e *Engine) liveGroups() []int {
+	live := e.liveBuf[:0]
+	for gi := range e.groups {
+		if e.groups[gi].alive != 0 {
+			live = append(live, gi)
+		}
+	}
+	e.liveBuf = live
+	return live
+}
 
 // trailingZeros returns the index of the lowest set bit of x (x != 0).
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

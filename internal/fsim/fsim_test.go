@@ -412,7 +412,7 @@ func TestEngineRunReuse(t *testing.T) {
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
 	seq := vectors.RandomSequence(xrand.New(808), c.NumPIs(), 50)
-	e := New(c, fl, Options{Workers: 2})
+	e := New(c, fl, Options{})
 	first := e.Run(seq)
 	second := e.Run(seq)
 	if !reflect.DeepEqual(first, second) {
@@ -429,8 +429,8 @@ func TestEngineRunReuse(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
-	if got := New(c, fl, Options{}).opts; got.Workers != 1 || got.FullEvaluation {
-		t.Fatalf("normalized zero Options = %+v, want Workers=1", got)
+	if got := New(c, fl, Options{}).opts; got != (Options{}) {
+		t.Fatalf("normalized zero Options = %+v, want the zero value", got)
 	}
 	mustPanic := func(name string, opts Options) {
 		t.Helper()

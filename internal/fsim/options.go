@@ -1,9 +1,9 @@
 package fsim
 
 // The Engine options surface. One constructor, one options block: the
-// worker count and the full-evaluation reference path are fixed at
-// construction, so an Engine's behavior never changes under a caller's
-// feet and its methods are safe to call repeatedly in any order.
+// full-evaluation reference path is fixed at construction, so an
+// Engine's behavior never changes under a caller's feet and its methods
+// are safe to call repeatedly in any order.
 
 import (
 	"fmt"
@@ -30,14 +30,11 @@ const (
 )
 
 // Options configures an Engine. The zero value is the default
-// configuration: serial, active-region propagation with escalation. Every Engine packs 64
-// faulty machines per group, one per bit of a uint64 word.
+// configuration: active-region propagation with escalation. Every Engine
+// packs 64 faulty machines per group, one per bit of a uint64 word, and
+// steps its groups on the calling goroutine; callers that want more
+// throughput run independent Engines concurrently.
 type Options struct {
-	// Workers is the goroutine count for the cone-sharded group
-	// scheduler; 0 or 1 selects the serial path. Any value produces
-	// bit-for-bit identical detection results.
-	Workers int
-
 	// FullEvaluation selects the flat full-netlist reference path
 	// (fullpath.go) instead of the active-region engine: every gate, every
 	// group, every time unit. It is the differential-testing reference.
@@ -51,9 +48,6 @@ type Options struct {
 // combinations that have no meaning — misconfiguration is a programming
 // error, not a runtime condition.
 func (o Options) normalize() Options {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	if o.mode != modeAuto && o.mode != modeQueue {
 		panic(fmt.Sprintf("fsim: unknown propagation mode %d", int(o.mode)))
 	}
@@ -77,7 +71,6 @@ func New(c *netlist.Circuit, fl []faults.Fault, opts Options) *Engine {
 		goodPO:    make([]logic.Value, c.NumPOs()),
 		peekSim:   sim.New(c),
 		peekPO:    make([]logic.Value, c.NumPOs()),
-		workers:   opts.Workers,
 		fullEval:  opts.FullEvaluation,
 		detected:  make([]bool, len(fl)),
 		detTime:   make([]int, len(fl)),
@@ -117,8 +110,7 @@ func (e *Engine) Run(seq vectors.Sequence) Result {
 }
 
 // Reset returns the engine to its initial state: all machines all-unknown,
-// no faults detected, time zero. Plans, shards, and pooled buffers are
-// retained. The cumulative Stats are not reset.
+// no faults detected, time zero. Plans and pooled buffers are retained. The cumulative Stats are not reset.
 func (e *Engine) Reset() {
 	for i := range e.goodState {
 		e.goodState[i] = logic.X
@@ -139,9 +131,6 @@ func (e *Engine) Reset() {
 		g.hotCalls = 0
 		g.escalated = false
 	}
-	// Detection dropped groups from the shards' balance; force a rebuild.
-	e.shards = nil
-	e.shardLive = 0
 }
 
 // fullAlive64 returns the live mask for n lanes in one word (n <= 64).

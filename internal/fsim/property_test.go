@@ -117,7 +117,7 @@ func TestActiveRegionPropertyRandomNetlists(t *testing.T) {
 		rng := xrand.New(spec.Seed)
 		for trial := 0; trial < 3; trial++ {
 			seq := xheavySequence(rng, c.NumPIs(), 12+rng.Intn(20))
-			diffCheck(t, spec.Name, c, fl, seq, 1)
+			diffCheck(t, spec.Name, c, fl, seq)
 
 			// Cross-check a deterministic sample of faults against the
 			// two-machine simulator.

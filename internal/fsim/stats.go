@@ -6,7 +6,7 @@ import "sync/atomic"
 // (fsim.go). Like the pattern counter they are deliberately global: one
 // process hosts one daemon, and threading metric sinks through every
 // simulation call site would put bookkeeping on the hottest loop in the
-// system. The engines accumulate locally (per call, per worker scratch)
+// system. The engines accumulate locally (per call, in their scratch)
 // and flush once per call, so the atomics are off the inner loop; the
 // same flush feeds the owning Engine's private counters (Engine.Stats).
 var (
@@ -57,8 +57,7 @@ func Stats() SimStats {
 
 // flushInto adds a scratch's locally accumulated counters to the
 // process-wide gauges and the owning engine's private counters, then
-// zeroes the local counts. The parallel scheduler calls it after its
-// workers have joined, so the engine-side adds are single-threaded.
+// zeroes the local counts, once per Extend or Evaluate call.
 func (sc *scratch) flushInto(e *Engine) {
 	if sc.evaluated != 0 {
 		gatesEvaluated.Add(sc.evaluated)

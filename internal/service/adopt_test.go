@@ -126,7 +126,7 @@ func TestClusterSweepAdoption(t *testing.T) {
 	mspec := JobSpec{Circuit: "s27", Config: cfg}
 	msData, _ := json.Marshal(mspec)
 	if err := seed.PutJob(store.JobRecord{
-		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
+		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults()),
 		Circuit: "s27", Spec: msData, Node: "dead", SweepID: swID, Member: 0,
 		Tenant: "alpha", State: string(StateQueued), Submitted: created,
 	}); err != nil {
@@ -287,12 +287,12 @@ func seedMidSweep(t *testing.T, dir string, cfg GenConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key0 := contentKey(iscas.MustLoad("s27"), "", cfg.withDefaults(1))
+	key0 := contentKey(iscas.MustLoad("s27"), "", cfg.withDefaults())
 	if err := seed.PutResult(key0, mustJSON(t, res0)); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []store.JobRecord{
-		{ID: "job-n1-000001", Seq: 1, Key: contentKey(iscas.MustLoad("s298"), "", cfg.withDefaults(1)),
+		{ID: "job-n1-000001", Seq: 1, Key: contentKey(iscas.MustLoad("s298"), "", cfg.withDefaults()),
 			Circuit: "s298", Spec: mustJSON(t, JobSpec{Circuit: "s298", Config: cfg}), Node: "n1",
 			Tenant: AnonymousTenant, SweepID: swID, Member: 1, State: string(StateQueued), Submitted: created},
 		{ID: "job-n1-000002", Seq: 2, Key: key0,

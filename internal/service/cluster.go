@@ -522,7 +522,7 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		var spec JobSpec
 		err := json.Unmarshal(rec.Spec, &spec)
 		if err == nil {
-			cfg = spec.Config.withDefaults(s.cfg.SimParallelism)
+			cfg = spec.Config.withDefaults()
 			if c, err = resolveCircuit(spec, bench.Limits{}); err == nil {
 				t0, err = resolveT0(spec, c)
 			}

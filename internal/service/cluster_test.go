@@ -12,12 +12,11 @@ import (
 // clusterCfg builds one member's config on a shared store.
 func clusterCfg(st store.Store, node string) Config {
 	return Config{
-		Workers:        1,
-		SimParallelism: 1,
-		Store:          st,
-		NodeID:         node,
-		LeaseTTL:       2 * time.Second,
-		PollInterval:   10 * time.Millisecond,
+		Workers:      1,
+		Store:        st,
+		NodeID:       node,
+		LeaseTTL:     2 * time.Second,
+		PollInterval: 10 * time.Millisecond,
 	}
 }
 
@@ -67,7 +66,7 @@ func TestClusterSharedQueue(t *testing.T) {
 
 	// The same sweep on a plain single daemon must produce the
 	// identical summary table (content-addressed determinism).
-	single := New(Config{Workers: 2, SimParallelism: 1})
+	single := New(Config{Workers: 2})
 	defer single.Close()
 	ref, err := single.SubmitSweep(spec)
 	if err != nil {
@@ -95,7 +94,7 @@ func TestClusterStealsExpiredLease(t *testing.T) {
 	spec := JobSpec{Circuit: "s27", Config: cfg}
 	specData, _ := json.Marshal(spec)
 	stolen := store.JobRecord{
-		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
+		ID: "job-dead-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults()),
 		Circuit: "s27", Spec: specData, Node: "dead", Member: -1,
 		State: string(StateRunning), Submitted: time.Now(), Started: time.Now(),
 	}
@@ -112,7 +111,7 @@ func TestClusterStealsExpiredLease(t *testing.T) {
 	c344 := iscas.MustLoad("s344")
 	spec344 := JobSpec{Circuit: "s344", Config: cfg}
 	fenced.Spec, _ = json.Marshal(spec344)
-	fenced.Key = contentKey(c344, "", cfg.withDefaults(1))
+	fenced.Key = contentKey(c344, "", cfg.withDefaults())
 	fenced.Circuit = "s344"
 	if err := seed.PutJob(fenced); err != nil {
 		t.Fatal(err)
@@ -172,12 +171,12 @@ func TestClusterRemoteCancelDetachesOnlyCanceledJob(t *testing.T) {
 	defer b.Close()
 
 	// A peer-submitted record for a multi-second job.
-	gen := GenConfig{N: 2, Seed: 1, ATPGMaxLen: 180, MaxOmissionTrials: 20, Parallelism: 2}
+	gen := GenConfig{N: 2, Seed: 1, ATPGMaxLen: 180, MaxOmissionTrials: 20}
 	c := iscas.MustLoad("s1423")
 	spec := JobSpec{Circuit: "s1423", Config: gen}
 	specData, _ := json.Marshal(spec)
 	remote := store.JobRecord{
-		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", gen.withDefaults(1)),
+		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", gen.withDefaults()),
 		Circuit: "s1423", Spec: specData, Node: "a", Member: -1,
 		State: string(StateQueued), Submitted: time.Now(),
 	}
@@ -237,7 +236,7 @@ func TestClusterRecoveryRebuildsOwnRecordsOnly(t *testing.T) {
 	spec := JobSpec{Circuit: "s27", Config: cfg}
 	specData, _ := json.Marshal(spec)
 	mine := store.JobRecord{
-		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
+		ID: "job-a-000001", Seq: 1, Key: contentKey(c, "", cfg.withDefaults()),
 		Circuit: "s27", Spec: specData, Node: "a", Member: -1,
 		State: string(StateQueued), Submitted: time.Now(),
 	}

@@ -30,7 +30,7 @@ func waitRunning(t *testing.T, svc *Service, id string, timeout time.Duration) S
 // must finish with the same result, and the coalesced counter must
 // advance.
 func TestInFlightCoalescing(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	spec := fastSpec("s298", 7)
@@ -80,7 +80,7 @@ func TestInFlightCoalescing(t *testing.T) {
 // canceling one client's submission must never disturb an identical
 // concurrent submission from another client.
 func TestCoalescedCancelKeepsOthers(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	spec := fastSpec("s298", 11)
@@ -114,7 +114,7 @@ func TestCoalescedCancelKeepsOthers(t *testing.T) {
 // fresh identical submission afterwards must start a new execution and
 // complete.
 func TestCoalescedCancelAllInterrupts(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	// Occupy the single worker so the target execution stays queued.
@@ -159,12 +159,12 @@ func TestCoalescedCancelAllInterrupts(t *testing.T) {
 // started: the follower must report running immediately and share the
 // leader's result.
 func TestCoalescingRunningAttach(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 2, QueueDepth: 16})
 	defer svc.Close()
 
 	// A spec slow enough to still be running when the duplicate arrives.
 	spec := JobSpec{Circuit: "s1423", Config: GenConfig{
-		N: 2, Seed: 5, ATPGMaxLen: 400, MaxOmissionTrials: 60, Parallelism: 1,
+		N: 2, Seed: 5, ATPGMaxLen: 400, MaxOmissionTrials: 60,
 	}}
 	st1, err := svc.Submit(spec)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestCoalescingRunningAttach(t *testing.T) {
 // in the meantime, or subsequent duplicates would bypass coalescing and
 // run the pipeline twice concurrently.
 func TestStaleExecutionDoesNotEvictInflightSlot(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	// Occupy the single worker so executions queue up behind it.
@@ -207,7 +207,7 @@ func TestStaleExecutionDoesNotEvictInflightSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := JobSpec{Circuit: "s1423", Config: GenConfig{
-		N: 2, Seed: 19, ATPGMaxLen: 400, MaxOmissionTrials: 60, Parallelism: 1,
+		N: 2, Seed: 19, ATPGMaxLen: 400, MaxOmissionTrials: 60,
 	}}
 	// First execution for the key, abandoned while queued.
 	st1, err := svc.Submit(spec)

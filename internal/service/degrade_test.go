@@ -138,7 +138,7 @@ func waitDegraded(t *testing.T, svc *Service, want bool, timeout time.Duration) 
 // with the replayed state actually in the store.
 func TestDegradeParkProbeRecover(t *testing.T) {
 	fs := &flakyStore{Store: store.NewMemory()}
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: fs, ProbeInterval: 20 * time.Millisecond})
+	svc := New(Config{Workers: 2, Store: fs, ProbeInterval: 20 * time.Millisecond})
 	defer svc.Close()
 
 	// Healthy first: one job lands durably.
@@ -226,7 +226,7 @@ func TestDegradeParkProbeRecover(t *testing.T) {
 // /healthz stays 200 (the process is alive and still finishing work).
 func TestDegradedHTTP(t *testing.T) {
 	fs := &flakyStore{Store: store.NewMemory()}
-	svc := New(Config{Workers: 1, SimParallelism: 1, Store: fs, ProbeInterval: 3 * time.Second})
+	svc := New(Config{Workers: 1, Store: fs, ProbeInterval: 3 * time.Second})
 	defer svc.Close()
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
@@ -309,7 +309,7 @@ func TestRecoverCorruptSweepSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
+	svc := New(Config{Workers: 1, Store: mem})
 	defer svc.Close()
 
 	sw := waitSweepTerminal(t, svc, "sweep-0001")
@@ -353,7 +353,7 @@ func TestRecoverCorruptJobSpec(t *testing.T) {
 		}
 	}
 
-	svc := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
+	svc := New(Config{Workers: 1, Store: mem})
 	defer svc.Close()
 
 	st, err := svc.Status(jobID(1))

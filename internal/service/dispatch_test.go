@@ -16,7 +16,7 @@ import (
 // longSpec is an s1423 job without a T0: several seconds of ATPG that a
 // cancel interrupts at the next round.
 func longSpec(seed uint64) JobSpec {
-	return JobSpec{Circuit: "s1423", Config: GenConfig{N: 4, Seed: seed, Parallelism: 1}}
+	return JobSpec{Circuit: "s1423", Config: GenConfig{N: 4, Seed: seed}}
 }
 
 // waitClaimsHeld polls until the claim loop holds n leases.
@@ -38,7 +38,7 @@ func waitClaimsHeld(t *testing.T, svc *Service, n int) {
 // present, the local claim loop ran the job, and the stored result body
 // is reference-counted for online deletion.
 func TestNoStoreIsClusterOfOne(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	st, err := svc.Submit(fastSpec("s27", 1))
 	if err != nil {
@@ -70,7 +70,7 @@ func TestNoStoreIsClusterOfOne(t *testing.T) {
 // arrived first and a weight-3 tenant starts in deficit-round-robin
 // order, not first-in-first-out.
 func TestSingleNodeFairShare(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, Tenants: []TenantConfig{
+	svc := New(Config{Workers: 1, Tenants: []TenantConfig{
 		{Name: "free", Key: "fk", Weight: 1},
 		{Name: "paid", Key: "pk", Weight: 3},
 	}})
@@ -127,7 +127,7 @@ func TestSingleNodeFairShare(t *testing.T) {
 // with ErrQueueFull and readiness says why.
 func TestClusterQueueFull(t *testing.T) {
 	const depth = 2
-	svc := New(Config{Workers: 1, QueueDepth: depth, SimParallelism: 1, Store: store.NewMemory(), NodeID: "n1"})
+	svc := New(Config{Workers: 1, QueueDepth: depth, Store: store.NewMemory(), NodeID: "n1"})
 	defer svc.Close()
 	// A long job on the worker and one job claimed behind it use up the
 	// claim budget (Workers+1), so everything after them stays unclaimed.
@@ -169,7 +169,7 @@ func TestClusterQueueFull(t *testing.T) {
 // a backlog deeper than the claim budget drains without waiting out the
 // poll interval between jobs.
 func TestWakeOnWorkerFree(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, Store: store.NewMemory(), NodeID: "n1",
+	svc := New(Config{Workers: 1, Store: store.NewMemory(), NodeID: "n1",
 		PollInterval: 10 * time.Second})
 	defer svc.Close()
 	start := time.Now()
@@ -202,7 +202,7 @@ func TestCancellationDuringTCompact(t *testing.T) {
 		// shorter T0 keeps the check affordable there.
 		spec.Config.ATPGMaxLen = 300
 	}
-	cfg := spec.Config.withDefaults(1)
+	cfg := spec.Config.withDefaults()
 	c := iscas.MustLoad(spec.Circuit)
 	// ATPG is deterministic, so its pattern count marks where the job's
 	// own ATPG ends; nothing else simulates in this process meanwhile.
@@ -212,7 +212,7 @@ func TestCancellationDuringTCompact(t *testing.T) {
 	}
 	atpgPatterns := fsim.PatternsApplied() - before
 
-	svc := New(Config{Workers: 1, QueueDepth: 8, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 8})
 	defer svc.Close()
 	before = fsim.PatternsApplied()
 	job, err := svc.Submit(spec)

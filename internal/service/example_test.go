@@ -13,7 +13,7 @@ import (
 // uploaded .bench netlist, follow the event stream, and read the
 // aggregated summary. Against a real deployment only the BaseURL changes.
 func ExampleClient_RunSweep() {
-	svc := service.New(service.Config{Workers: 1, SimParallelism: 1})
+	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()

@@ -49,7 +49,7 @@ func FuzzValidateSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cfg := spec.Config.withDefaults(0)
+		cfg := spec.Config.withDefaults()
 		key := contentKey(c, spec.T0, cfg)
 		cfg.Lanes = 0
 		if got := contentKey(c, spec.T0, cfg); got != key {
@@ -124,7 +124,7 @@ func FuzzSweepSpec(f *testing.F) {
 	f.Add([]byte(`{"circuits":[`))
 	f.Add([]byte(`null`))
 
-	svc := New(Config{Workers: 1, MaxSweepMembers: 4, SimParallelism: 1})
+	svc := New(Config{Workers: 1, MaxSweepMembers: 4})
 	defer svc.Close()
 	h := NewHandler(svc)
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -43,7 +43,7 @@ func httpJSON(t *testing.T, client *http.Client, method, url string, body any, o
 // resubmission, cancellation of a queued job, and the error surface
 // (404 unknown job, 409 result-before-done, 400 bad spec).
 func TestHTTPEndToEnd(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueDepth: 16, SimParallelism: 2})
+	svc := New(Config{Workers: 2, QueueDepth: 16})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
@@ -173,7 +173,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 // — the -race companion to TestConcurrentJobsWithCacheHits, exercising
 // the handler layer itself.
 func TestHTTPConcurrentClients(t *testing.T) {
-	svc := New(Config{Workers: 4, QueueDepth: 64, SimParallelism: 2})
+	svc := New(Config{Workers: 4, QueueDepth: 64})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()

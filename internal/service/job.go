@@ -63,8 +63,12 @@ type GenConfig struct {
 	MaxOmissionTrials int `json:"max_omission_trials,omitempty"`
 	// SkipCompact disables §3.2 static compaction of the selected set.
 	SkipCompact bool `json:"skip_compact,omitempty"`
-	// Parallelism is the per-job fault-simulation goroutine count
-	// (0 = the service default).
+	// Deprecated: ignored. Parallelism was the per-job fault-simulation
+	// goroutine count; every job now simulates on its worker's goroutine
+	// and parallelism comes from running jobs side by side
+	// (Config.Workers). Specs, stored records, and clients that still
+	// carry "parallelism" are accepted, and ValidateSpec rejects the
+	// values it always rejected.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Deprecated: ignored. Lanes was the per-job fault-packing width; the
 	// simulator now always packs 64 faults per group. Specs, stored
@@ -84,7 +88,7 @@ type GenConfig struct {
 // Service default: claim loops re-resolve peer specs through this
 // function, so it must be a pure function of the spec or two cluster
 // members could disagree about what a stored record means.
-func (g GenConfig) withDefaults(simParallelism int) GenConfig {
+func (g GenConfig) withDefaults() GenConfig {
 	if g.N < 1 {
 		g.N = 4
 	}
@@ -93,9 +97,6 @@ func (g GenConfig) withDefaults(simParallelism int) GenConfig {
 	}
 	if g.ATPGMaxLen < 1 {
 		g.ATPGMaxLen = 1500
-	}
-	if g.Parallelism < 1 {
-		g.Parallelism = simParallelism
 	}
 	if g.Strategy == "" {
 		g.Strategy = strategy.Default
@@ -143,9 +144,8 @@ func resolveT0(spec JobSpec, c *netlist.Circuit) (vectors.Sequence, error) {
 // a structurally identical upload produce equal numbers but differently
 // labeled results, so they must not share a cache entry.
 func contentKey(c *netlist.Circuit, t0 string, cfg GenConfig) string {
-	// Parallelism is an execution detail (results are bit-for-bit
-	// identical for any worker count) and Lanes is ignored, so neither
-	// may fragment the cache.
+	// Parallelism and Lanes are ignored, so neither may fragment the
+	// cache.
 	cfg.Parallelism = 0
 	cfg.Lanes = 0
 	h := sha256.New()

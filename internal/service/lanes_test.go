@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,36 +16,45 @@ import (
 )
 
 // TestDeprecatedLanesWireCompat pins the wire contract of the ignored
-// config.lanes field: specs that carry it content-address, cache, and
-// produce results exactly like specs that do not; a stored record that
-// carries it recovers and runs; and the values the field always rejected
-// still get a 400 invalid_spec.
+// config fields, lanes and parallelism: specs that carry them
+// content-address, cache, and produce results exactly like specs that do
+// not; a stored record that carries them recovers and runs; and the
+// values each field always rejected still get a 400 invalid_spec.
 func TestDeprecatedLanesWireCompat(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
 	const config = `"n":2,"seed":5,"atpg_max_len":300,"max_omission_trials":40`
-	spec := func(lanes string) string {
-		return `{"circuit":"s27","config":{` + config + lanes + `}}`
+	spec := func(extra string) string {
+		return `{"circuit":"s27","config":{` + config + extra + `}}`
 	}
-	post := func(body string) (int, Status) {
+	post := func(t *testing.T, body string) (*http.Response, []byte) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
+	}
+	submit := func(t *testing.T, body string) (int, Status) {
+		t.Helper()
+		resp, data := post(t, body)
 		var st Status
 		if resp.StatusCode < 300 {
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			if err := json.Unmarshal(data, &st); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return resp.StatusCode, st
 	}
-	resultBody := func(id string) []byte {
+	resultBody := func(t *testing.T, id string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 		if err != nil {
@@ -63,69 +73,79 @@ func TestDeprecatedLanesWireCompat(t *testing.T) {
 		return svc.jobs[id].key
 	}
 
-	code, first := post(spec(""))
+	code, first := submit(t, spec(""))
 	if code != http.StatusAccepted {
-		t.Fatalf("lanes 0: HTTP %d", code)
+		t.Fatalf("plain spec: HTTP %d", code)
 	}
 	if st := waitTerminal(t, svc, first.ID, 60*time.Second); st.State != StateDone {
-		t.Fatalf("lanes 0: job %s", st.State)
-	}
-	code, second := post(spec(`,"lanes":128`))
-	if code != http.StatusOK || !second.CacheHit {
-		t.Fatalf("lanes 128: HTTP %d, cache_hit %v; want a cache hit", code, second.CacheHit)
+		t.Fatalf("plain spec: job %s", st.State)
 	}
 	key := keyOf(svc, first.ID)
-	if got := keyOf(svc, second.ID); got != key {
-		t.Fatalf("lanes 128 content key %s, lanes 0 key %s", got, key)
-	}
-	want := resultBody(first.ID)
-	if got := resultBody(second.ID); !bytes.Equal(got, want) {
-		t.Fatalf("lanes 128 result body differs:\n%s\nvs\n%s", got, want)
-	}
-
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec(`,"lanes":100`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env errorEnvelope
-	decErr := json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || decErr != nil || env.Error.Code != CodeInvalidSpec {
-		t.Fatalf("lanes 100: HTTP %d, envelope %+v (%v); want 400 %s", resp.StatusCode, env, decErr, CodeInvalidSpec)
-	}
-
-	// Restart over a store holding a queued record written with lanes 256.
-	var stored JobSpec
-	if err := json.Unmarshal([]byte(spec(`,"lanes":256`)), &stored); err != nil {
-		t.Fatal(err)
-	}
-	mem := store.NewMemory()
-	if err := mem.PutJob(store.JobRecord{
-		ID: jobID(1), Seq: 1, Circuit: "s27", Member: -1,
-		Key:       contentKey(iscas.MustLoad("s27"), "", stored.Config.withDefaults(1)),
-		Spec:      json.RawMessage(spec(`,"lanes":256`)),
-		State:     string(StateQueued),
-		Submitted: time.Now(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	restarted := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
-	defer restarted.Close()
-	if st := waitTerminal(t, restarted, jobID(1), 60*time.Second); st.State != StateDone {
-		t.Fatalf("recovered lanes 256 job: %s (%s)", st.State, st.Error)
-	}
-	if got := keyOf(restarted, jobID(1)); got != key {
-		t.Fatalf("recovered lanes 256 content key %s, lanes 0 key %s", got, key)
-	}
-	got, err := restarted.Result(jobID(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := resultBody(t, first.ID)
 	var wantRes Result
 	if err := json.Unmarshal(want, &wantRes); err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEquivalent(got, &wantRes) {
-		t.Fatal("recovered lanes 256 result differs from the lanes 0 result")
+
+	for _, tc := range []struct {
+		field            string
+		hit, bad, stored int
+	}{
+		{field: "lanes", hit: 128, bad: 100, stored: 256},
+		{field: "parallelism", hit: 3, bad: -1, stored: 4},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			with := func(v int) string { return spec(fmt.Sprintf(`,%q:%d`, tc.field, v)) }
+
+			code, second := submit(t, with(tc.hit))
+			if code != http.StatusOK || !second.CacheHit {
+				t.Fatalf("%s %d: HTTP %d, cache_hit %v; want a cache hit", tc.field, tc.hit, code, second.CacheHit)
+			}
+			if got := keyOf(svc, second.ID); got != key {
+				t.Fatalf("%s %d content key %s, plain key %s", tc.field, tc.hit, got, key)
+			}
+			if got := resultBody(t, second.ID); !bytes.Equal(got, want) {
+				t.Fatalf("%s %d result body differs:\n%s\nvs\n%s", tc.field, tc.hit, got, want)
+			}
+
+			resp, data := post(t, with(tc.bad))
+			var env errorEnvelope
+			decErr := json.Unmarshal(data, &env)
+			if resp.StatusCode != http.StatusBadRequest || decErr != nil || env.Error.Code != CodeInvalidSpec {
+				t.Fatalf("%s %d: HTTP %d, envelope %+v (%v); want 400 %s", tc.field, tc.bad, resp.StatusCode, env, decErr, CodeInvalidSpec)
+			}
+
+			// Restart over a store holding a queued record written with
+			// the field set.
+			var stored JobSpec
+			if err := json.Unmarshal([]byte(with(tc.stored)), &stored); err != nil {
+				t.Fatal(err)
+			}
+			mem := store.NewMemory()
+			if err := mem.PutJob(store.JobRecord{
+				ID: jobID(1), Seq: 1, Circuit: "s27", Member: -1,
+				Key:       contentKey(iscas.MustLoad("s27"), "", stored.Config.withDefaults()),
+				Spec:      json.RawMessage(with(tc.stored)),
+				State:     string(StateQueued),
+				Submitted: time.Now(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			restarted := New(Config{Workers: 1, Store: mem})
+			defer restarted.Close()
+			if st := waitTerminal(t, restarted, jobID(1), 60*time.Second); st.State != StateDone {
+				t.Fatalf("recovered %s %d job: %s (%s)", tc.field, tc.stored, st.State, st.Error)
+			}
+			if got := keyOf(restarted, jobID(1)); got != key {
+				t.Fatalf("recovered %s %d content key %s, plain key %s", tc.field, tc.stored, got, key)
+			}
+			got, err := restarted.Result(jobID(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEquivalent(got, &wantRes) {
+				t.Fatalf("recovered %s %d result differs from the plain result", tc.field, tc.stored)
+			}
+		})
 	}
 }

@@ -332,7 +332,7 @@ func (s *Service) jobFromRecord(rec *store.JobRecord) *job {
 		seq:       rec.Seq,
 		key:       rec.Key,
 		spec:      spec,
-		cfg:       spec.Config.withDefaults(s.cfg.SimParallelism),
+		cfg:       spec.Config.withDefaults(),
 		circuit:   rec.Circuit,
 		node:      rec.Node,
 		tenant:    rec.Tenant,
@@ -606,7 +606,7 @@ func (sw *sweep) lostMember(i int) *resolvedMember {
 // result or leaves it a queued record. Callers hold s.mu.
 func (rc *recovery) resubmit(sw *sweep, member int, spec JobSpec, c *netlist.Circuit, t0 vectors.Sequence) *job {
 	s := rc.s
-	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
+	cfg := spec.Config.withDefaults()
 	s.seq++
 	j := &job{
 		id:        s.newJobID(s.seq),
@@ -646,7 +646,7 @@ func (s *Service) resubmitLostRace(rc *recovery, sw *sweep, i int, rm *resolvedM
 		leg := &rs.legs[li]
 		spec := rm.spec
 		spec.Config.Strategy = leg.strategy
-		j := takeLeg(legs, contentKey(rm.c, spec.T0, spec.Config.withDefaults(s.cfg.SimParallelism)))
+		j := takeLeg(legs, contentKey(rm.c, spec.T0, spec.Config.withDefaults()))
 		if j == nil && sw.canceled {
 			// A canceled sweep mints no legs; the race decides among
 			// the legs already on record.

@@ -40,7 +40,7 @@ func resultsEquivalent(a, b *Result) bool {
 // summary reappears — and that resubmissions hit the rehydrated cache.
 func TestPersistRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)}
+	cfg := Config{Workers: 2, Store: diskStore(t, dir)}
 	svc := New(cfg)
 
 	st1, err := svc.Submit(fastSpec("s27", 1))
@@ -72,7 +72,7 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 	jobs1 := svc.Jobs()
 	svc.Close()
 
-	svc2 := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc2 := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc2.Close()
 
 	jobs2 := svc2.Jobs()
@@ -171,7 +171,7 @@ func TestRecoveryMidSweepCrash(t *testing.T) {
 		return store.JobRecord{
 			ID:        jobID(seq),
 			Seq:       seq,
-			Key:       contentKey(c, "", cfg.withDefaults(1)),
+			Key:       contentKey(c, "", cfg.withDefaults()),
 			Circuit:   circuit,
 			Spec:      specData,
 			SweepID:   "sweep-0001",
@@ -212,7 +212,7 @@ func TestRecoveryMidSweepCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc.Close()
 
 	snap := svc.Metrics()
@@ -247,7 +247,7 @@ func TestRecoveryMidSweepCrash(t *testing.T) {
 
 	// A second restart must come back terminal with the same summary.
 	svc.Close()
-	svc2 := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc2 := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc2.Close()
 	again, err := svc2.Sweep("sweep-0001")
 	if err != nil {
@@ -281,7 +281,7 @@ func TestRecoveryCanceledSweep(t *testing.T) {
 	}
 	c := iscas.MustLoad("s27")
 	if err := st.PutJob(store.JobRecord{
-		ID: jobID(1), Seq: 1, Key: contentKey(c, "", cfg.withDefaults(1)),
+		ID: jobID(1), Seq: 1, Key: contentKey(c, "", cfg.withDefaults()),
 		Circuit: "s27", Spec: specData, SweepID: "sweep-0001", Member: 0,
 		State: string(StateRunning), Submitted: now,
 	}); err != nil {
@@ -291,7 +291,7 @@ func TestRecoveryCanceledSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Workers: 1, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc := New(Config{Workers: 1, Store: diskStore(t, dir)})
 	defer svc.Close()
 	done := waitSweepTerminal(t, svc, "sweep-0001")
 	if done.State != StateCanceled {
@@ -327,7 +327,7 @@ func TestRecoveryCanceledSweepLostMembers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			svc := New(Config{Workers: 1, SimParallelism: 1, Store: mem})
+			svc := New(Config{Workers: 1, Store: mem})
 			defer svc.Close()
 			done := waitSweepTerminal(t, svc, "sweep-0001")
 			if done.State != StateCanceled {

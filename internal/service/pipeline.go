@@ -108,7 +108,7 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid job: %w", err)
 	}
-	return synthesize(ctx, c, t0, spec.Config.withDefaults(0), nil)
+	return synthesize(ctx, c, t0, spec.Config.withDefaults(), nil)
 }
 
 // synthesize runs the full pipeline for one job: T0 (supplied or ATPG +
@@ -153,7 +153,6 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 		Seed:              cfg.Seed,
 		OmissionRestart:   true,
 		MaxOmissionTrials: cfg.MaxOmissionTrials,
-		Parallelism:       cfg.Parallelism,
 		Interrupt:         interrupt,
 	}
 	strat, err := strategy.Get(cfg.Strategy)

@@ -17,7 +17,7 @@ import (
 // seconds, a structured error body, counters ticking, and read
 // endpoints unaffected.
 func TestRateLimitSubmissions(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, RateLimit: 0.5, RateBurst: 2})
+	svc := New(Config{Workers: 1, RateLimit: 0.5, RateBurst: 2})
 	defer svc.Close()
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
@@ -76,8 +76,8 @@ func TestRateLimitSubmissions(t *testing.T) {
 // seqbist_ name, including the store and cluster sections.
 func TestPrometheusExposition(t *testing.T) {
 	svc := New(Config{
-		Workers: 1, SimParallelism: 1,
-		Store: store.NewMemory(), NodeID: "prom",
+		Workers: 1,
+		Store:   store.NewMemory(), NodeID: "prom",
 		LeaseTTL: time.Second, PollInterval: 10 * time.Millisecond,
 	})
 	defer svc.Close()

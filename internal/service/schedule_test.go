@@ -153,7 +153,7 @@ func TestDRROrderDeficitLifecycle(t *testing.T) {
 // core: terminal records first (cancel-detach latency), running records
 // next in Seq order (steal candidates), queued records last under DRR.
 func TestScheduleRecords(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, Tenants: []TenantConfig{
+	svc := New(Config{Workers: 1, Tenants: []TenantConfig{
 		{Name: "paid", Key: "pk", Weight: 4},
 	}})
 	defer svc.Close()

@@ -13,10 +13,11 @@
 // queued or running are coalesced onto one in-flight execution: the
 // duplicates attach as observers, share the single run's result, and a
 // cancellation only interrupts the run when its last observer detaches.
-// Each job's fault simulations run on the sharded parallel scheduler of
-// internal/fsim; cancellation reaches into Procedure 1 via the
-// core.Config.Interrupt hook, so a DELETE aborts a running job between
-// simulation trials rather than after the fact.
+// Each job runs on one worker goroutine, its fault simulations included,
+// so the worker pool is the service's only parallelism. Cancellation
+// reaches into Procedure 1 via the core.Config.Interrupt hook, so a
+// DELETE aborts a running job between simulation trials rather than
+// after the fact.
 //
 // On top of single jobs, the service runs batch sweeps (SubmitSweep): one
 // request fans a shared configuration out over many circuits — registry
@@ -73,9 +74,6 @@ type Config struct {
 	// never dropped, so the bound is soft while more than MaxJobs jobs
 	// are actually in flight.
 	MaxJobs int
-	// SimParallelism is the default per-job fault-simulation goroutine
-	// count for jobs that do not set their own (0 = one per CPU).
-	SimParallelism int
 	// DefaultStrategy is applied to submissions that leave
 	// GenConfig.Strategy empty (default strategy.Default, the paper's
 	// greedy baseline). It is resolved at the submission edge — before
@@ -410,7 +408,7 @@ func (s *Service) SubmitAs(tenant string, spec JobSpec) (Status, error) {
 // to it (in-flight coalescing) and shares its lifecycle and result; the
 // coalesced counter in GET /metrics counts these attachments.
 func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpec, tenant, sweepID string, member int, onRunning func(Status), onTerminal func(Status, *Result)) (Status, error) {
-	cfg := spec.Config.withDefaults(s.cfg.SimParallelism)
+	cfg := spec.Config.withDefaults()
 	key := contentKey(c, spec.T0, cfg)
 	tenant = tenantName(tenant)
 

@@ -20,7 +20,6 @@ func fastSpec(circuit string, seed uint64) JobSpec {
 			Seed:              seed,
 			ATPGMaxLen:        300,
 			MaxOmissionTrials: 40,
-			Parallelism:       2,
 		},
 	}
 }
@@ -50,7 +49,7 @@ func waitTerminal(t *testing.T, svc *Service, id string, timeout time.Duration) 
 // exactly), and a full resubmission wave afterwards served from the
 // content-addressed cache.
 func TestConcurrentJobsWithCacheHits(t *testing.T) {
-	svc := New(Config{Workers: 8, QueueDepth: 64, SimParallelism: 2})
+	svc := New(Config{Workers: 8, QueueDepth: 64})
 	defer svc.Close()
 
 	// 12 jobs: 6 distinct specs, each submitted twice concurrently.
@@ -151,14 +150,14 @@ func TestConcurrentJobsWithCacheHits(t *testing.T) {
 // canceled before any work happens, and a running job is interrupted
 // inside Procedure 1 well before it would have completed.
 func TestCancellation(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 8, SimParallelism: 2})
+	svc := New(Config{Workers: 1, QueueDepth: 8})
 	defer svc.Close()
 
 	// A long job (several seconds even on fast hardware: a 1500-gate
 	// circuit with unlimited omission) to occupy the only worker.
 	long, err := svc.Submit(JobSpec{
 		Circuit: "s1423",
-		Config:  GenConfig{N: 8, Seed: 1, ATPGMaxLen: 300, Parallelism: 2},
+		Config:  GenConfig{N: 8, Seed: 1, ATPGMaxLen: 300},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +223,10 @@ func TestCancellation(t *testing.T) {
 // the only worker, so a small job submitted after the cancel must finish
 // within a second of it.
 func TestCancellationDuringATPG(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 8, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 8})
 	defer svc.Close()
 	before := fsim.PatternsApplied()
-	job, err := svc.Submit(JobSpec{Circuit: "s1423", Config: GenConfig{N: 4, Seed: 1, Parallelism: 1}})
+	job, err := svc.Submit(JobSpec{Circuit: "s1423", Config: GenConfig{N: 4, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestSubmitValidation(t *testing.T) {
 // TestQueueFull checks backpressure: with a single busy worker and a full
 // queue, submissions are rejected rather than buffered without bound.
 func TestQueueFull(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 1})
 	defer svc.Close()
 
 	// Occupy the worker, then the one queue slot. Distinct seeds keep the
@@ -330,7 +329,7 @@ func TestClosedService(t *testing.T) {
 // TestJobRetention checks that terminal job records are evicted beyond
 // the MaxJobs bound, so a long-lived daemon does not grow without limit.
 func TestJobRetention(t *testing.T) {
-	svc := New(Config{Workers: 2, MaxJobs: 4, SimParallelism: 1})
+	svc := New(Config{Workers: 2, MaxJobs: 4})
 	defer svc.Close()
 
 	var last Status
@@ -387,7 +386,7 @@ func TestCacheLRU(t *testing.T) {
 // to structural no-ops (gate order) and sensitive to every config knob.
 func TestContentKey(t *testing.T) {
 	c := iscas.MustLoad("s27")
-	base := GenConfig{N: 4, Seed: 1, ATPGMaxLen: 1500}.withDefaults(0)
+	base := GenConfig{N: 4, Seed: 1, ATPGMaxLen: 1500}.withDefaults()
 	k0 := contentKey(c, "", base)
 
 	variants := []GenConfig{
@@ -398,7 +397,7 @@ func TestContentKey(t *testing.T) {
 		{N: 4, Seed: 1, ATPGMaxLen: 1500, SkipCompact: true},
 	}
 	for i, v := range variants {
-		if contentKey(c, "", v.withDefaults(0)) == k0 {
+		if contentKey(c, "", v.withDefaults()) == k0 {
 			t.Errorf("variant %d: config change did not change the key", i)
 		}
 	}
@@ -408,8 +407,7 @@ func TestContentKey(t *testing.T) {
 	if contentKey(c, "0101  \n 1010", base) != contentKey(c, "0101 1010", base) {
 		t.Error("T0 whitespace normalization failed")
 	}
-	// Parallelism never changes results, so it must not fragment the
-	// cache: different worker counts share one key.
+	// Parallelism is ignored, so it must not fragment the cache.
 	p := base
 	p.Parallelism = 7
 	if contentKey(c, "", p) != k0 {

@@ -150,7 +150,7 @@ func TestSearchStrategyDeterminism(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			svc := New(Config{Workers: 1, SimParallelism: 1, Store: diskStore(t, dir)})
+			svc := New(Config{Workers: 1, Store: diskStore(t, dir)})
 			st, err := svc.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +167,7 @@ func TestSearchStrategyDeterminism(t *testing.T) {
 
 			// Restart on the same store: the identical spec must complete
 			// instantly from the rehydrated cache with the same bits.
-			svc2 := New(Config{Workers: 1, SimParallelism: 1, Store: diskStore(t, dir)})
+			svc2 := New(Config{Workers: 1, Store: diskStore(t, dir)})
 			defer svc2.Close()
 			st2, err := svc2.Submit(spec)
 			if err != nil {
@@ -191,7 +191,7 @@ func TestSearchStrategyDeterminism(t *testing.T) {
 // TestStrategyValidation covers the strategy-name rejections at both
 // submission edges, and the configurable service default.
 func TestStrategyValidation(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	spec := fastSpec("s27", 1)
 	spec.Config.Strategy = "resyn2"
@@ -213,7 +213,7 @@ func TestStrategyValidation(t *testing.T) {
 	}
 
 	// A configured default strategy lands in the submitted spec.
-	svc2 := New(Config{Workers: 1, SimParallelism: 1, DefaultStrategy: "restart"})
+	svc2 := New(Config{Workers: 1, DefaultStrategy: "restart"})
 	defer svc2.Close()
 	st, err := svc2.Submit(fastSpec("s27", 1))
 	if err != nil {
@@ -234,7 +234,7 @@ func TestStrategyValidation(t *testing.T) {
 // member against the equivalent direct synthesis — plus the strategy
 // column appearing in the summary table.
 func TestSweepMemberOverrides(t *testing.T) {
-	svc := New(Config{Workers: 2, SimParallelism: 1})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
 	spec := SweepSpec{
@@ -302,7 +302,7 @@ func TestSweepRaceMember(t *testing.T) {
 		}
 	}
 
-	svc := New(Config{Workers: 2, SimParallelism: 1})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	st, err := svc.SubmitSweep(SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg})
 	if err != nil {
@@ -350,7 +350,7 @@ func TestSweepRaceMember(t *testing.T) {
 // the member itself must reach a terminal state and the sweep must end
 // canceled.
 func TestSweepRaceCancel(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 	cfg := GenConfig{N: 2, Seed: 1, ATPGMaxLen: 600, MaxOmissionTrials: 200, Strategy: strategy.Race}
 	st, err := svc.SubmitSweep(SweepSpec{Circuits: []CircuitRef{{Circuit: "s1423"}}, Config: cfg})
@@ -398,7 +398,7 @@ func TestRaceSweepCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc.Close()
 	fin := waitSweepTerminal(t, svc, "sweep-0001")
 	if fin.State != StateDone || fin.Summary == nil || fin.Summary.Done != 1 {
@@ -406,7 +406,7 @@ func TestRaceSweepCrashRecovery(t *testing.T) {
 	}
 
 	// Same decision a never-crashed service makes.
-	svc2 := New(Config{Workers: 2, SimParallelism: 1})
+	svc2 := New(Config{Workers: 2})
 	defer svc2.Close()
 	st2, err := svc2.SubmitSweep(spec)
 	if err != nil {
@@ -442,7 +442,7 @@ func raceLegRecords(cfg GenConfig, sweepID, node string, first int64, names []st
 		legCfg.Strategy = name
 		spec, _ := json.Marshal(JobSpec{Circuit: "s27", Config: legCfg})
 		recs = append(recs, store.JobRecord{
-			ID: id, Seq: seq, Key: contentKey(c, "", legCfg.withDefaults(1)),
+			ID: id, Seq: seq, Key: contentKey(c, "", legCfg.withDefaults()),
 			Circuit: "s27", Spec: spec, Node: node, SweepID: sweepID, Member: -1,
 			State: string(StateQueued), Submitted: time.Now(),
 		})
@@ -454,7 +454,7 @@ func raceLegRecords(cfg GenConfig, sweepID, node string, first int64, names []st
 // racing s27 member under cfg.
 func freshRaceResult(t *testing.T, cfg GenConfig) *Result {
 	t.Helper()
-	svc := New(Config{Workers: 2, SimParallelism: 1})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	st, err := svc.SubmitSweep(SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg})
 	if err != nil {
@@ -494,7 +494,7 @@ func TestRaceSweepRecoveryReusesLegRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc.Close()
 	fin := waitSweepTerminal(t, svc, "sweep-0001")
 	if fin.State != StateDone || fin.Summary == nil || fin.Summary.Done != 1 {
@@ -520,7 +520,7 @@ func TestRaceSweepPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyCfg()
 	cfg.Strategy = strategy.Race
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	st, err := svc.SubmitSweep(SweepSpec{Circuits: []CircuitRef{{Circuit: "s27"}}, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +532,7 @@ func TestRaceSweepPersistRoundTrip(t *testing.T) {
 	want := fin.Members[0].Result
 	svc.Close()
 
-	svc2 := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir)})
+	svc2 := New(Config{Workers: 2, Store: diskStore(t, dir)})
 	defer svc2.Close()
 	got, err := svc2.Sweep(st.ID)
 	if err != nil {

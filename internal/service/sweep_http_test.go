@@ -19,7 +19,7 @@ import (
 // with the Client: submit a sweep, follow the NDJSON event stream, and
 // check the terminal snapshot against the streamed summary.
 func TestSweepHTTPStreaming(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 2, QueueDepth: 16})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
@@ -92,7 +92,7 @@ func TestSweepHTTPStreaming(t *testing.T) {
 // run exactly (label and wall time aside) — the acceptance check for
 // user-supplied circuits.
 func TestUploadedS27ReproducesEmbedded(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
@@ -142,8 +142,7 @@ func TestUploadedS27ReproducesEmbedded(t *testing.T) {
 // sweep routes, without queueing any work.
 func TestBenchUploadErrors(t *testing.T) {
 	svc := New(Config{
-		Workers:        1,
-		SimParallelism: 1,
+		Workers: 1,
 		// Tiny limits so the oversize cases stay test-sized.
 		BenchLimits: bench.Limits{MaxBytes: 2048, MaxSignals: 64},
 	})
@@ -228,7 +227,7 @@ func TestBenchUploadErrors(t *testing.T) {
 // sweep work: submissions, completions, cache hits, simulation counters,
 // and per-phase wall time.
 func TestMetricsEndpoint(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
@@ -286,7 +285,7 @@ func manySignalsBench(n int) string {
 // reconnecting client gets exactly the events it has not seen yet, in
 // order, and a malformed offset is a structured 400.
 func TestSweepEventStreamSeqOffset(t *testing.T) {
-	svc := New(Config{Workers: 2, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 2, QueueDepth: 16})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()

@@ -42,7 +42,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	// One worker makes member order deterministic: the registry s27
 	// completes before the structurally identical upload is dequeued, so
 	// the upload's cache hit is guaranteed rather than timing-dependent.
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	spec := SweepSpec{
@@ -161,7 +161,7 @@ func TestSweepDifferential(t *testing.T) {
 	want := experiments.SweepTable(rows)
 
 	// Service path.
-	svc := New(Config{Workers: 4, QueueDepth: 32, SimParallelism: 1})
+	svc := New(Config{Workers: 4, QueueDepth: 32})
 	defer svc.Close()
 	refs := make([]CircuitRef, len(names))
 	for i, name := range names {
@@ -195,7 +195,7 @@ func TestSweepDifferential(t *testing.T) {
 // several members, canceling mid-flight terminates every member and the
 // sweep reaches the canceled state with a partial summary.
 func TestSweepCancel(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 16, SimParallelism: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 16})
 	defer svc.Close()
 
 	// s1423 is slow enough (74 DFFs) to still be running when we cancel.
@@ -234,7 +234,7 @@ func TestSweepCancel(t *testing.T) {
 // member caps, and malformed members rejecting the sweep atomically
 // (nothing queued).
 func TestSweepValidation(t *testing.T) {
-	svc := New(Config{Workers: 1, MaxSweepMembers: 2, SimParallelism: 1})
+	svc := New(Config{Workers: 1, MaxSweepMembers: 2})
 	defer svc.Close()
 
 	if _, err := svc.SubmitSweep(SweepSpec{}); err == nil {

@@ -51,13 +51,13 @@ func TestParseTenants(t *testing.T) {
 // TestResolveTenant covers the authentication decision table, including
 // the legacy single-tenant mode that must keep ignoring credentials.
 func TestResolveTenant(t *testing.T) {
-	legacy := New(Config{Workers: 1, SimParallelism: 1})
+	legacy := New(Config{Workers: 1})
 	defer legacy.Close()
 	if name, err := legacy.ResolveTenant("Bearer whatever"); err != nil || name != AnonymousTenant {
 		t.Fatalf("legacy mode must ignore stray credentials: %q, %v", name, err)
 	}
 
-	svc := New(Config{Workers: 1, SimParallelism: 1, Tenants: []TenantConfig{
+	svc := New(Config{Workers: 1, Tenants: []TenantConfig{
 		{Name: "alpha", Key: "ka"},
 	}})
 	defer svc.Close()
@@ -127,7 +127,7 @@ func TestDrainMeterRetryAfter(t *testing.T) {
 // typed error envelope, and honest Retry-After through the real HTTP
 // surface.
 func TestTenantHTTPMatrix(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, Tenants: []TenantConfig{
+	svc := New(Config{Workers: 1, Tenants: []TenantConfig{
 		{Name: "alpha", Key: "ka", MaxQueuedJobs: 1, MaxActiveSweeps: 1},
 		{Name: "beta", Key: "kb"},
 	}})
@@ -244,7 +244,7 @@ func TestTenantHTTPMatrix(t *testing.T) {
 // service-wide limit for its bucket, shared across its client IPs, while
 // anonymous submitters stay on the per-IP service budget.
 func TestTenantRateBudget(t *testing.T) {
-	svc := New(Config{Workers: 1, SimParallelism: 1, RateLimit: 100, Tenants: []TenantConfig{
+	svc := New(Config{Workers: 1, RateLimit: 100, Tenants: []TenantConfig{
 		{Name: "alpha", Key: "ka", Rate: 0.5, RateBurst: 1},
 	}})
 	defer svc.Close()
@@ -297,7 +297,7 @@ func TestTenantRateBudget(t *testing.T) {
 func TestTenantPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tenants := []TenantConfig{{Name: "alpha", Key: "ka", Weight: 3}}
-	svc := New(Config{Workers: 2, SimParallelism: 1, Store: diskStore(t, dir), Tenants: tenants})
+	svc := New(Config{Workers: 2, Store: diskStore(t, dir), Tenants: tenants})
 
 	st, err := svc.SubmitAs("alpha", fastSpec("s27", 1))
 	if err != nil {
@@ -329,7 +329,7 @@ func TestTenantPersistRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		svc2 := New(Config{Workers: 2, SimParallelism: 1, Store: st2, Tenants: tenants})
+		svc2 := New(Config{Workers: 2, Store: st2, Tenants: tenants})
 		for _, j := range svc2.Jobs() {
 			if j.Tenant != "alpha" {
 				t.Fatalf("round %d: job %s tenant %q, want alpha", round, j.ID, j.Tenant)

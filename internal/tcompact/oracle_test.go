@@ -55,7 +55,7 @@ func serialCompact(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) (
 		if covered[fi] {
 			continue
 		}
-		eng := fsim.New(c, fl[fi:fi+1], fsim.Options{Workers: 1})
+		eng := fsim.New(c, fl[fi:fi+1], fsim.Options{})
 		detects := func(seq vectors.Sequence) bool {
 			st.Restorations++
 			return eng.Run(seq).Detected[0]

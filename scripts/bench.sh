@@ -19,18 +19,18 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_21.json via scripts/bench_check.sh.
+# the counts against BENCH_22.json via scripts/bench_check.sh.
 #
-# BENCH_21.json in the repository root records the one-region-stepper
-# round (before/after timings of BenchmarkFaultSimLarge and
-# BenchmarkFaultSimEvaluate) plus the expected detection counts of every
-# leg; BENCH_17.json, BENCH_15.json, BENCH_14.json, BENCH_13.json,
+# BENCH_22.json in the repository root records the serial-engine round
+# (end-to-end benchmark pairs after the cone-sharded scheduler was
+# deleted) plus the expected detection counts of every leg;
+# BENCH_21.json, BENCH_17.json, BENCH_15.json, BENCH_14.json, BENCH_13.json,
 # BENCH_12.json, BENCH_9.json and BENCH_3.json hold the earlier rounds'
 # records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimSharded|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|T0Compaction'
+BENCH='Table2S27|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|T0Compaction'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic detection counts of a
 # scripts/bench.sh -json run against the expected counts committed in
-# BENCH_21.json ("detections" section), and fail on any mismatch. The
-# counts cover every engine configuration the suite exercises — serial,
-# sharded (workers=1,2,4), the candidate-parallel Procedure 2 leg, the
-# post-selection compaction/verification leg and the T0 compaction leg —
-# so behavior drift in any of them fails the gate.
+# BENCH_22.json ("detections" section), and fail on any mismatch. The
+# counts cover every engine configuration the suite exercises — the
+# whole-list and candidate-evaluation engine legs, the candidate-parallel
+# Procedure 2 leg, the post-selection compaction/verification leg and the
+# T0 compaction leg — so behavior drift in any of them fails the gate.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -13,12 +13,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_21.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_22.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_21.json}
+EXPECTED=${2:-BENCH_22.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N}

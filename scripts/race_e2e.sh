@@ -47,7 +47,7 @@ trap cleanup EXIT
 start_daemon() { # addr data-dir log-file [extra flags...]
     local addr=$1 data=$2 log=$3
     shift 3
-    "$WORKDIR/seqbistd" -addr "$addr" -workers 1 -sim-workers 2 \
+    "$WORKDIR/seqbistd" -addr "$addr" -workers 1 \
         -data-dir "$data" "$@" >>"$log" 2>&1 &
     DAEMON_PID=$!
     PIDS+=("$DAEMON_PID")

@@ -42,7 +42,7 @@ trap cleanup EXIT
 # substitution: a subshell would strand the pid outside PIDS and the
 # cleanup trap would leak daemons across runs).
 start_daemon() { # addr data-dir log-file
-    "$WORKDIR/seqbistd" -addr "$1" -workers 1 -sim-workers 1 -data-dir "$2" \
+    "$WORKDIR/seqbistd" -addr "$1" -workers 1 -data-dir "$2" \
         >>"$3" 2>&1 &
     DAEMON_PID=$!
     PIDS+=("$DAEMON_PID")
@@ -169,7 +169,7 @@ mkdir -p "$LEGACY"
 printf '%s\n' 'c35050a3 {"lsn":1,"t":"job","d":{"id":"job-000001","state":"queued"}}' >"$LEGACY/wal.log"
 SUM_BEFORE=$(sha256sum <"$LEGACY/wal.log")
 RC=0
-timeout 5 "$WORKDIR/seqbistd" -addr 127.0.0.1:18743 -workers 1 -sim-workers 1 -data-dir "$LEGACY" \
+timeout 5 "$WORKDIR/seqbistd" -addr 127.0.0.1:18743 -workers 1 -data-dir "$LEGACY" \
     >"$WORKDIR/daemon-legacy.out" 2>"$WORKDIR/daemon-legacy.err" || RC=$?
 if [ "$RC" -eq 0 ] || [ "$RC" -eq 124 ]; then
     echo "recovery_e2e: FAIL — daemon did not refuse a wal.log directory (exit $RC)" >&2
