@@ -759,8 +759,12 @@ var (
 // compaction (core.CompactSet) and coverage certification
 // (core.VerifyCoverage) of the survivors — on the greedy Procedure 1
 // result for the seed-1 s1423 T0 at n=4 (unlimited omission trials,
-// built once outside the timer). It reports the targets the survivors
-// cover (all of F) and the number of survivors, both deterministic.
+// built once outside the timer). Each iteration compacts a copy of the
+// result that carries no Selector memo, so every iteration starts from
+// nothing and does the same work; BenchmarkAnnealSelect times compaction
+// as the pipeline runs it, on top of selection's detections. It reports
+// the targets the survivors cover (all of F) and the number of
+// survivors, both deterministic.
 func BenchmarkCompactVerify(b *testing.B) {
 	s := setupFor(b, "s1423")
 	cfg := core.DefaultConfig(4)
@@ -774,14 +778,47 @@ func BenchmarkCompactVerify(b *testing.B) {
 	var set []core.Selected
 	var missed []int
 	for i := 0; i < b.N; i++ {
-		set, _ = core.CompactSet(s.c, s.fl, res, cfg)
-		missed = core.VerifyCoverage(s.c, s.fl, res, set, cfg)
+		bare := &core.Result{Set: res.Set, DetectedByT0: res.DetectedByT0, NumTargets: res.NumTargets, UDet: res.UDet, Sims: res.Sims}
+		set, _ = core.CompactSet(s.c, s.fl, bare, cfg)
+		missed = core.VerifyCoverage(s.c, s.fl, bare, set, cfg)
 	}
 	if len(missed) != 0 {
 		b.Fatalf("compacted set misses %d faults", len(missed))
 	}
 	b.ReportMetric(float64(res.NumTargets-len(missed)), "detected")
 	b.ReportMetric(float64(len(set)), "kept")
+}
+
+// BenchmarkAnnealSelect runs one select-t0 annealing job's synthesis
+// without the service around it: the anneal strategy (25 Procedure 1
+// trials on one Selector) for the seed-1 s820 T0 at n=4 with unlimited
+// omission trials, then §3.2 compaction of the winner. Trials share the
+// Selector's detection and window memos, and compaction starts from
+// their detections. It reports the targets the compacted set covers (all
+// of F), the trials and the serial-equivalent Procedure 2 trial count,
+// all deterministic.
+func BenchmarkAnnealSelect(b *testing.B) {
+	s := setupFor(b, "s820")
+	cfg := strategy.Config{Core: core.DefaultConfig(4)}
+	anneal, err := strategy.Get("anneal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var out *strategy.Outcome
+	var set []core.Selected
+	for i := 0; i < b.N; i++ {
+		if out, err = anneal.Select(s.c, s.fl, s.t0, cfg); err != nil {
+			b.Fatal(err)
+		}
+		set, _ = core.CompactSet(s.c, s.fl, out.Result, cfg.Core)
+	}
+	b.StopTimer()
+	missed := core.VerifyCoverage(s.c, s.fl, out.Result, set, cfg.Core)
+	b.ReportMetric(float64(out.Result.NumTargets-len(missed)), "detected")
+	b.ReportMetric(float64(out.Trials), "trials")
+	b.ReportMetric(float64(out.Result.Sims), "sims")
 }
 
 // BenchmarkStrategyPortfolio races the synthesis-strategy portfolio on

@@ -41,11 +41,13 @@ type CompactStats struct {
 // neither the other faults simulated with it nor the pass order, and
 // dropping a zero-contribution sequence never changes what the others
 // detect; the union of detections of the surviving set is therefore
-// still exactly F. Each (sequence, fault) pair is simulated at most once
-// across all passes: a sequence is simulated only against the live
-// faults no earlier pass tested it on, and its contribution in a pass is
-// read from the remembered detections. The returned slice preserves the
-// generation order of the survivors.
+// still exactly F. Compaction reads and extends the detection memo of
+// the Selector that produced res, so it starts from step 4's detections
+// and simulates a sequence only for live faults no earlier step or pass
+// tested it on (a Result built by hand starts from an empty memo).
+// Results of one Selector share its memo, so like the Selector they must
+// not be used from two goroutines at once. The returned slice preserves
+// the generation order of the survivors.
 func CompactSet(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) ([]Selected, CompactStats) {
 	return CompactSetPasses(c, fl, res, cfg, [4]bool{true, true, true, true})
 }
@@ -55,20 +57,17 @@ func CompactSet(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) 
 func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config, enabled [4]bool) ([]Selected, CompactStats) {
 	start := time.Now()
 	stats := CompactStats{Before: StatsOf(res.Set)}
-	targIdx := targets(fl, res)
+	m := memoFor(c, fl, res, cfg)
+	inF := m.newSet()
+	for _, fi := range targets(fl, res) {
+		inF[fi/64] |= 1 << (fi % 64)
+	}
 
-	// set holds positions in res.Set, in generation order. Per position,
-	// tested and detected are bitsets over targIdx remembering which
-	// targets the sequence's expansion was simulated against and which of
-	// those it detects.
+	// set holds positions in res.Set, in generation order.
 	set := make([]int, len(res.Set))
 	for p := range set {
 		set[p] = p
 	}
-	words := (len(targIdx) + 63) / 64
-	memo := make([]uint64, 2*words*len(res.Set))
-	tested := func(p int) []uint64 { return memo[2*p*words : (2*p+1)*words] }
-	detected := func(p int) []uint64 { return memo[(2*p+1)*words : (2*p+2)*words] }
 	// detCount[p] = faults detected by sequence p in the most recent pass
 	// (pass 4 orders by it).
 	detCount := make([]int, len(res.Set))
@@ -78,9 +77,7 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 	}
 	seqLen := func(p int) int { return res.Set[p].Seq.Len() }
 
-	sub := make([]faults.Fault, 0, len(targIdx))
-	subK := make([]int, 0, len(targIdx))
-	covered := make([]uint64, words)
+	uncovered := m.newSet()
 	keep := make([]bool, len(res.Set))
 	for pass := 0; pass < 4; pass++ {
 		if !enabled[pass] {
@@ -98,30 +95,13 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 			slices.SortFunc(work, func(p, q int) int { return cmp.Or(cmp.Compare(detCount[q], detCount[p]), byKey(p, q)) })
 		}
 
-		clear(covered)
+		copy(uncovered, inF)
 		for _, p := range work {
-			tst, det := tested(p), detected(p)
-			sub, subK = sub[:0], subK[:0]
-			for k, fi := range targIdx {
-				if (covered[k/64]|tst[k/64])>>(k%64)&1 == 0 {
-					sub = append(sub, fl[fi])
-					subK = append(subK, k)
-				}
-			}
-			if len(sub) > 0 {
-				r := fsim.Run(c, sub, expand.Compose(res.Set[p].Seq, cfg.N, cfg.expandOps()))
-				for j, k := range subK {
-					tst[k/64] |= 1 << (k % 64)
-					if r.Detected[j] {
-						det[k/64] |= 1 << (k % 64)
-					}
-				}
-			}
 			newly := 0
-			for w, d := range det {
-				d &^= covered[w]
+			for w, d := range m.detected(res.Set[p].Seq, uncovered) {
+				d &= uncovered[w]
 				newly += bits.OnesCount64(d)
-				covered[w] |= d
+				uncovered[w] &^= d
 			}
 			detCount[p] = newly
 			keep[p] = newly > 0

@@ -23,8 +23,12 @@
 //     VerifyCoverage then re-certifies that the survivors detect every
 //     fault T0 detects. Every expansion is simulated from the all-unknown
 //     state, so whether a sequence detects a fault depends on neither
-//     the other faults simulated with it nor the order; both steps
-//     therefore simulate each (sequence, fault) pair at most once.
+//     the other faults simulated with it nor the order. A Selector's
+//     detection memo therefore answers each (subsequence, fault) pair
+//     from one simulation across step 4 of every run on it and the
+//     compaction of their results (a known pair is simulated again only
+//     to fill an engine lane group); VerifyCoverage, kept independent
+//     of the memo, simulates each pair at most once per call.
 //
 // The package is deterministic given Config.Seed.
 package core
@@ -32,6 +36,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"seqbist/internal/expand"
@@ -185,8 +190,12 @@ type Result struct {
 	// candidates a one-at-a-time search would have simulated, i.e. the
 	// accepted candidate's index plus one per batch that accepts, the
 	// batch size per batch that does not. It is independent of how many
-	// candidates one simulation pass scores.
+	// candidates one simulation pass scores, and of whether a window
+	// search was answered from the Selector's memo.
 	Sims int
+	// memo is the detection memo of the Selector that produced the
+	// result; CompactSet starts from its step-4 detections.
+	memo *detectionMemo
 }
 
 // Selector holds the circuit-dependent state shared by Procedure 1 and 2.
@@ -214,6 +223,9 @@ type Selector struct {
 	// which depends only on the circuit, fault list, and T0 — strategies
 	// that call RunOrder many times on one Selector pay for it once.
 	baseRes *fsim.Result
+	// memo remembers step-4 and compaction detections per subsequence
+	// and each target's window search, across every run on the Selector.
+	memo *detectionMemo
 }
 
 // NewSelector prepares selection of subsequences of t0 for the given
@@ -236,6 +248,7 @@ func NewSelector(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg
 		rng:   xrand.New(cfg.Seed),
 		t0p:   fsim.Pack(t0, c.NumPIs()),
 		batch: fsim.NewBatch(c),
+		memo:  newDetectionMemo(c, fl, cfg),
 	}, nil
 }
 
@@ -352,16 +365,18 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 		DetectedByT0: base.Detected,
 		UDet:         base.DetTime,
 		NumTargets:   base.NumDetected,
+		memo:         sel.memo,
 	}
 
-	remaining := make(map[int]bool, len(targ))
+	remaining := sel.memo.newSet()
 	for _, fi := range targ {
-		remaining[fi] = true
+		remaining[fi/64] |= 1 << (fi % 64)
 	}
+	left := len(targ)
 
-	for pos := 0; pos < len(targ); pos++ {
+	for pos := 0; pos < len(targ) && left > 0; pos++ {
 		f := targ[pos]
-		if !remaining[f] {
+		if remaining[f/64]>>(f%64)&1 == 0 {
 			continue
 		}
 		if sel.cfg.interrupted() {
@@ -374,29 +389,20 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 		}
 		// Step 4: simulate remaining targets under Sexp and drop those
 		// detected.
-		subsetIdx := make([]int, 0, len(remaining))
-		subset := make([]faults.Fault, 0, len(remaining))
-		for _, fi := range targ[pos:] {
-			if remaining[fi] {
-				subsetIdx = append(subsetIdx, fi)
-				subset = append(subset, sel.fl[fi])
-			}
-		}
-		sexp := expand.Compose(s, sel.cfg.N, sel.cfg.expandOps())
-		r := fsim.Run(sel.c, subset, sexp)
+		det := sel.memo.detected(s, remaining)
 		newly := 0
-		for k, fi := range subsetIdx {
-			if r.Detected[k] {
-				delete(remaining, fi)
-				newly++
-			}
+		for w, d := range det {
+			d &= remaining[w]
+			newly += bits.OnesCount64(d)
+			remaining[w] &^= d
 		}
-		if remaining[f] {
+		if remaining[f/64]>>(f%64)&1 != 0 {
 			// The construction guarantees the target is detected; a
 			// violation indicates an implementation bug.
 			return nil, fmt.Errorf("core: expanded sequence failed to detect its target fault %s",
 				sel.fl[f].Name(sel.c))
 		}
+		left -= newly
 		res.Set = append(res.Set, Selected{
 			Seq:           s,
 			TargetFault:   f,
@@ -404,9 +410,6 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 			UDet:          base.DetTime[f],
 			NewlyDetected: newly,
 		})
-		if len(remaining) == 0 {
-			break
-		}
 	}
 	res.Sims = sel.sims - simsBefore
 	return res, nil
@@ -423,25 +426,9 @@ func (sel *Selector) FindSubsequence(f int) (vectors.Sequence, int, error) {
 	udet := base.DetTime[f]
 
 	// Steps 1-3: find the latest ustart whose expanded window detects f.
-	// Lane j of a batch is the window T0[top-j, udet].
-	ustart := -1
-	for top := udet; top >= 0 && ustart < 0; top -= fsim.MaxBatch {
-		if sel.cfg.interrupted() {
-			return nil, 0, ErrInterrupted
-		}
-		k := min(fsim.MaxBatch, top+1)
-		for j := 0; j < k; j++ {
-			sel.cands[j] = sel.t0p.Slice(top-j, udet+1).Whole()
-		}
-		if hit := sel.trial(f, k); hit >= 0 {
-			ustart = top - hit
-		}
-	}
-	if ustart < 0 {
-		// Cannot happen: the expansion of T0[0,udet] begins with
-		// T0[0,udet] itself, which detects f at time udet.
-		return nil, 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
-			sel.fl[f].Name(sel.c))
+	ustart, err := sel.window(f, udet)
+	if err != nil {
+		return nil, 0, err
 	}
 	t1 := sel.t0.Subsequence(ustart, udet)
 	if sel.cfg.DisableOmission {
@@ -453,11 +440,42 @@ func (sel *Selector) FindSubsequence(f int) (vectors.Sequence, int, error) {
 	if sel.cfg.OmissionRestart {
 		omit = sel.omitWithRestart
 	}
-	t1, err := omit(f, t1, sel.t0p.Slice(ustart, udet+1))
+	t1, err = omit(f, t1, sel.t0p.Slice(ustart, udet+1))
 	if err != nil {
 		return nil, 0, err
 	}
 	return t1, ustart, nil
+}
+
+// window returns the latest ustart whose expanded window T0[ustart, udet]
+// detects f (Procedure 2's steps 1-3). The search depends only on f, T0,
+// n and the expansion ops, so a completed one is memoized with the trials
+// it charged, and a repeat charges the same count again; a search the
+// Interrupt hook cut short stores nothing.
+func (sel *Selector) window(f, udet int) (int, error) {
+	if w := sel.memo.windows[f]; w.sims > 0 {
+		sel.sims += w.sims
+		return w.ustart, nil
+	}
+	start := sel.sims
+	// Lane j of a batch is the window T0[top-j, udet].
+	for top := udet; top >= 0; top -= fsim.MaxBatch {
+		if sel.cfg.interrupted() {
+			return 0, ErrInterrupted
+		}
+		k := min(fsim.MaxBatch, top+1)
+		for j := 0; j < k; j++ {
+			sel.cands[j] = sel.t0p.Slice(top-j, udet+1).Whole()
+		}
+		if hit := sel.trial(f, k); hit >= 0 {
+			sel.memo.windows[f] = windowSearch{ustart: top - hit, sims: sel.sims - start}
+			return top - hit, nil
+		}
+	}
+	// Cannot happen: the expansion of T0[0,udet] begins with T0[0,udet]
+	// itself, which detects f at time udet.
+	return 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
+		sel.fl[f].Name(sel.c))
 }
 
 // trial evaluates the first k candidates in sel.cands against fault f

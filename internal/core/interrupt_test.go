@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"seqbist/internal/expand"
@@ -90,5 +92,60 @@ func TestInterruptDuringOmission(t *testing.T) {
 		if k == pollsPerTarget && simsAtFire != 101+64 {
 			t.Fatalf("k=%d: fired after %d trials, want 101 windows + one omission batch of 64", k, simsAtFire)
 		}
+	}
+}
+
+// TestInterruptLeavesMemoClean fires the cancellation hook after k polls
+// for every k along one RunOrder on the delay line, then reruns the same
+// order and seed on the same Selector with the hook quiet. The rerun
+// reads whatever the interrupted run left in the detection and window
+// memos, and must still equal a fresh Selector's run field for field:
+// an interrupted window search or omission scan stores nothing stale.
+func TestInterruptLeavesMemoClean(t *testing.T) {
+	c := delayLine(t, 100)
+	fl := faults.CollapsedUniverse(c)
+	t0 := vectors.RandomSequence(xrand.New(6), 2, 140)
+	cfg := DefaultConfig(1)
+	cfg.ExpandOps = expand.OpRepeat
+	const seed = 7
+
+	polls, fireAt := 0, 0
+	cfg.Interrupt = func() bool {
+		polls++
+		return fireAt > 0 && polls >= fireAt
+	}
+	fresh, err := NewSelector(c, fl, t0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := maxUDetOrder(fresh)
+	slices.Reverse(order)
+	fresh.Reseed(seed)
+	want, err := fresh.RunOrder(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := polls
+	if total < 10 {
+		t.Fatalf("a quiet run polled only %d times", total)
+	}
+
+	for k := 1; k <= total; k++ {
+		sel, err := NewSelector(c, fl, t0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls, fireAt = 0, k
+		sel.Reseed(seed)
+		if _, err := sel.RunOrder(order); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("k=%d: err = %v, want ErrInterrupted", k, err)
+		}
+		fireAt = 0
+		sel.Reseed(seed)
+		got, err := sel.RunOrder(order)
+		if err != nil {
+			t.Fatalf("k=%d: rerun: %v", k, err)
+		}
+		checkSameResult(t, fmt.Sprintf("k=%d rerun", k), got, want)
 	}
 }

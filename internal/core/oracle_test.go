@@ -205,17 +205,27 @@ func checkAgainstOracle(t *testing.T, name string, c *netlist.Circuit, fl []faul
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
+	checkSameResult(t, name, got, want)
+}
+
+// checkSameResult fails on any difference between two Results' exported
+// fields: the selected set, the T0 detection data and the trial count.
+func checkSameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
 	if got.Sims != want.Sims {
-		t.Errorf("%s: Sims = %d, serial oracle %d", name, got.Sims, want.Sims)
+		t.Errorf("%s: Sims = %d, want %d", name, got.Sims, want.Sims)
+	}
+	if got.NumTargets != want.NumTargets || !slices.Equal(got.DetectedByT0, want.DetectedByT0) || !slices.Equal(got.UDet, want.UDet) {
+		t.Errorf("%s: T0 detection data differs", name)
 	}
 	if len(got.Set) != len(want.Set) {
-		t.Fatalf("%s: %d sequences, serial oracle %d", name, len(got.Set), len(want.Set))
+		t.Fatalf("%s: %d sequences, want %d", name, len(got.Set), len(want.Set))
 	}
 	for i := range got.Set {
 		g, w := got.Set[i], want.Set[i]
 		if !g.Seq.Equal(w.Seq) || g.UStart != w.UStart || g.UDet != w.UDet ||
 			g.TargetFault != w.TargetFault || g.NewlyDetected != w.NewlyDetected {
-			t.Fatalf("%s: sequence %d = {%s ustart %d udet %d target %d newly %d}, serial oracle {%s ustart %d udet %d target %d newly %d}",
+			t.Fatalf("%s: sequence %d = {%s ustart %d udet %d target %d newly %d}, want {%s ustart %d udet %d target %d newly %d}",
 				name, i, g.Seq, g.UStart, g.UDet, g.TargetFault, g.NewlyDetected,
 				w.Seq, w.UStart, w.UDet, w.TargetFault, w.NewlyDetected)
 		}
@@ -241,6 +251,66 @@ func TestCandidateParallelMatchesSerialOnRegistry(t *testing.T) {
 			cfg := DefaultConfig(n)
 			cfg.MaxOmissionTrials = 150
 			checkAgainstOracle(t, fmt.Sprintf("%s n=%d", name, n), c, fl, t0, cfg)
+		}
+	}
+}
+
+// TestMemoizedTrialsMatchSerialOracle runs many target orders on one
+// Selector, as the strategies do, so that later runs read a warm
+// detection memo and window memo: the greedy order, its reverse and three
+// seeded shuffles, in three rounds after Reseed (the second replays the
+// first round's seeds, the third draws new ones). Every Result must
+// equal, field for field and trial count included, the serial oracle's
+// on a fresh Selector reseeded the same way.
+func TestMemoizedTrialsMatchSerialOracle(t *testing.T) {
+	names := []string{"s27", "s298", "s526", "s820"}
+	if testing.Short() {
+		names = names[:2]
+	}
+	for _, name := range names {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		t0 := vectors.RandomSequence(xrand.New(3), c.NumPIs(), 90)
+		if name == "s27" {
+			t0 = s27T0()
+		}
+		cfg := DefaultConfig(2)
+		cfg.MaxOmissionTrials = 150
+		sel, err := NewSelector(c, fl, t0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy := maxUDetOrder(sel)
+		reverse := slices.Clone(greedy)
+		slices.Reverse(reverse)
+		orders := [][]int{greedy, reverse}
+		rng := xrand.New(11)
+		for range 3 {
+			o := slices.Clone(greedy)
+			rng.Shuffle(o)
+			orders = append(orders, o)
+		}
+		// Round 1 replays round 0's seeds; round 2 reseeds.
+		for round, seedBase := range []uint64{1, 1, 2} {
+			for i, order := range orders {
+				seed := seedBase + uint64(10*i)
+				label := fmt.Sprintf("%s round %d order %d seed %d", name, round, i, seed)
+				sel.Reseed(seed)
+				got, err := sel.RunOrder(order)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				ref, err := NewSelector(c, fl, t0, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Reseed(seed)
+				want, err := newSerialOracle(ref).run(order)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", label, err)
+				}
+				checkSameResult(t, label, got, want)
+			}
 		}
 	}
 }

@@ -357,14 +357,16 @@ func (pb *planBuilder) carveI32(src []int32) []int32 {
 	return out
 }
 
-// packOrder returns a permutation of fault-list indices grouped by
-// structural locality: faults are keyed by the topological position of
-// the first gate their injection site can influence, so faults whose
-// cones overlap land in the same group and the group's union active
-// region stays close to a single fault's cone. The sort is stable, so
-// the order (and with it every detection-report order) is deterministic
-// for a given circuit and fault list.
-func packOrder(c *netlist.Circuit, fl []faults.Fault) []int {
+// PackOrder returns the permutation of fault-list indices in which an
+// Engine packs fl into lane groups, GroupSize consecutive faults per
+// group. Faults are keyed by the topological position of the first gate
+// their injection site can influence, so faults whose cones overlap land
+// in the same group and the group's union active region stays close to a
+// single fault's cone. The sort is stable, so the order (and with it
+// every detection-report order) is deterministic for a given circuit and
+// fault list, and for a subset of fl given in fault-list or packing
+// order it is this order restricted to the subset.
+func PackOrder(c *netlist.Circuit, fl []faults.Fault) []int {
 	csr := c.CSR()
 	numGates := c.NumGates()
 	key := func(f faults.Fault) int {

@@ -346,15 +346,18 @@ func (t *goodTrace) ensure(n, width int) [][]logic.Value {
 	return t.rows
 }
 
+// GroupSize is the number of faults an Engine packs into one lane group.
+const GroupSize = 64
+
 // buildGroups packs the fault list into lane groups in locality order
-// (packOrder) and precomputes each group's static active region, drawing
+// (PackOrder) and precomputes each group's static active region, drawing
 // all plan and state storage from the builder's slabs.
 func (e *Engine) buildGroups() {
 	c := e.c
-	order := packOrder(c, e.fl)
+	order := PackOrder(c, e.fl)
 	pb := newPlanBuilder(c)
-	for start := 0; start < len(order); start += 64 {
-		end := start + 64
+	for start := 0; start < len(order); start += GroupSize {
+		end := start + GroupSize
 		if end > len(order) {
 			end = len(order)
 		}

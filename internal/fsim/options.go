@@ -56,7 +56,7 @@ func (o Options) normalize() Options {
 
 // New prepares an Engine for the given circuit and fault list. The
 // initial state of every machine is all-unknown. Faults are packed into
-// lane groups in locality order (packOrder), and each group's static
+// lane groups in locality order (PackOrder), and each group's static
 // active region is precomputed, so construction does the cone analysis
 // once and every Run/Extend/Evaluate call benefits.
 func New(c *netlist.Circuit, fl []faults.Fault, opts Options) *Engine {

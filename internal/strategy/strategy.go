@@ -48,8 +48,8 @@ const (
 // Config parameterizes one strategy run.
 type Config struct {
 	// Core is the Procedure 1/2 configuration every trial runs under
-	// (N, Seed, omission budget, parallelism, Interrupt). Seed is the
-	// root of all strategy randomness.
+	// (N, Seed, omission budget, Interrupt). Seed is the root of all
+	// strategy randomness.
 	Core core.Config
 	// SkipCompact tells comparison-based strategies (race) to score
 	// candidates without §3.2 compaction, mirroring the pipeline flag so

@@ -4,7 +4,9 @@
 # Procedure 2 leg (BenchmarkProcedure2: core.FindSubsequence for every
 # target of the seed-1 s1423 T0), the post-selection leg
 # (BenchmarkCompactVerify: §3.2 compaction plus coverage certification of
-# the seed-1 s1423 greedy result) and the T0 compaction leg
+# the seed-1 s1423 greedy result), the annealing leg
+# (BenchmarkAnnealSelect: the anneal strategy's 25 trials on the seed-1
+# s820 T0, then compaction of the winner) and the T0 compaction leg
 # (BenchmarkT0Compaction: vector-restoration compaction of the seed-1
 # s298 ATPG sequence) with -benchmem, and optionally emit the parsed
 # numbers as JSON.
@@ -19,25 +21,25 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_22.json via scripts/bench_check.sh.
+# the counts against BENCH_23.json via scripts/bench_check.sh.
 #
-# BENCH_22.json in the repository root records the serial-engine round
-# (end-to-end benchmark pairs after the cone-sharded scheduler was
-# deleted) plus the expected detection counts of every leg;
-# BENCH_21.json, BENCH_17.json, BENCH_15.json, BENCH_14.json, BENCH_13.json,
-# BENCH_12.json, BENCH_9.json and BENCH_3.json hold the earlier rounds'
-# records.
+# BENCH_23.json in the repository root records the detection-memo round
+# (end-to-end benchmark pairs after each Selector got one detection memo
+# shared by its trials and compaction) plus the expected detection
+# counts of every leg; BENCH_22.json, BENCH_21.json, BENCH_17.json,
+# BENCH_15.json, BENCH_14.json, BENCH_13.json, BENCH_12.json,
+# BENCH_9.json and BENCH_3.json hold the earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|T0Compaction'
+BENCH='Table2S27|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|AnnealSelect|T0Compaction'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify|T0Compaction'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify|AnnealSelect|T0Compaction'
             COUNT=1x
             ;;
         -benchtime)

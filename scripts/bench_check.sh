@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic detection counts of a
 # scripts/bench.sh -json run against the expected counts committed in
-# BENCH_22.json ("detections" section), and fail on any mismatch. The
+# BENCH_23.json ("detections" section), and fail on any mismatch. The
 # counts cover every engine configuration the suite exercises — the
 # whole-list and candidate-evaluation engine legs, the candidate-parallel
-# Procedure 2 leg, the post-selection compaction/verification leg and the
-# T0 compaction leg — so behavior drift in any of them fails the gate.
+# Procedure 2 leg, the post-selection compaction/verification leg, the
+# annealing selection leg and the T0 compaction leg — so behavior drift in any of them fails the gate.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -13,12 +13,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_22.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_23.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_22.json}
+EXPECTED=${2:-BENCH_23.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N}
@@ -52,7 +52,8 @@ checked=0
 # nothing while still "passing".
 for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
-    BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkT0Compaction; do
+    BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkAnnealSelect \
+    BenchmarkT0Compaction; do
     if ! echo "$RUNS" | awk -v n="$required" '$1 == n { found=1 } END { exit !found }'; then
         echo "bench_check: required benchmark $required missing from $RUN (renamed, deleted, or no detected metric?)" >&2
         fail=1
