@@ -11,6 +11,7 @@
 package seqbist_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -514,6 +515,48 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// synthesizeS27Seeds are the first eight miss seeds of the perfbench
+// daemon-mix workload at workload seed 1.
+var synthesizeS27Seeds = []uint64{1000001, 1000002, 1000003, 1000004, 1000005, 1000006, 1000007, 1000008}
+
+// synthesizeS27Spec is one daemon-mix-shaped miss job: s27, n=2, ATPG
+// capped at 300 vectors, 40 omission trials.
+func synthesizeS27Spec(seed uint64) service.JobSpec {
+	return service.JobSpec{Circuit: "s27", Config: service.GenConfig{
+		N: 2, Seed: seed, ATPGMaxLen: 300, MaxOmissionTrials: 40,
+	}}
+}
+
+// BenchmarkSynthesizeS27 runs one daemon-mix miss job per iteration
+// in-process through service.Synthesize, cycling through a fixed seed
+// list, with no HTTP, store or queue around it: the per-job fixed costs
+// (netlist parse, the many short-lived fault-simulation engines of ATPG,
+// T0 compaction, step 4, §3.2 compaction and verification) that a
+// millisecond job pays. It reports the faults the seeds' T0s detect and
+// the total stored length of their compacted sets, summed over the seed
+// list, both deterministic.
+func BenchmarkSynthesizeS27(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := service.Synthesize(ctx, synthesizeS27Spec(synthesizeS27Seeds[i%len(synthesizeS27Seeds)])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var det, total int
+	for _, seed := range synthesizeS27Seeds {
+		res, err := service.Synthesize(ctx, synthesizeS27Spec(seed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		det += res.DetectedByT0
+		total += res.TotalLen
+	}
+	b.ReportMetric(float64(det), "detected")
+	b.ReportMetric(float64(total), "totlen")
 }
 
 func waitServiceDone(b *testing.B, svc *service.Service, id string) {

@@ -68,7 +68,9 @@ func ParseLimited(r io.Reader, name string, lim Limits) (*netlist.Circuit, error
 	}
 	b := netlist.NewBuilder(name)
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may be up to 1 MiB long; the buffer starts small and grows
+	// only as far as the longest line needs.
+	scanner.Buffer(nil, 1<<20)
 	lineNo, stmts := 0, 0
 	for scanner.Scan() {
 		lineNo++

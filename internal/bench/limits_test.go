@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bufio"
 	"errors"
 	"strconv"
 	"strings"
@@ -59,5 +60,26 @@ func TestParseUnlimitedByDefault(t *testing.T) {
 	sb.WriteString("z = BUFF(" + prev + ")\n")
 	if _, err := ParseString(sb.String(), "big"); err != nil {
 		t.Fatalf("unlimited parse failed: %v", err)
+	}
+}
+
+// TestParseLineLimit pins the 1 MiB line limit: the scanner's buffer
+// grows on demand instead of being preallocated, and must still stop at
+// the same length. A comment line one byte short of the limit parses; a
+// line that fills it fails with the wrapped bufio.ErrTooLong.
+func TestParseLineLimit(t *testing.T) {
+	const limit = 1 << 20
+	withLine := func(lineLen int) string {
+		return "INPUT(a)\n#" + strings.Repeat("x", lineLen-1) + "\nOUTPUT(z)\nz = NOT(a)\n"
+	}
+	if _, err := ParseString(withLine(limit-1), "x"); err != nil {
+		t.Fatalf("%d-byte comment line rejected: %v", limit-1, err)
+	}
+	_, err := ParseString(withLine(limit), "x")
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("%d-byte line: got %v, want bufio.ErrTooLong", limit, err)
+	}
+	if want := "bench: " + bufio.ErrTooLong.Error(); err.Error() != want {
+		t.Errorf("%d-byte line: error %q, want %q", limit, err, want)
 	}
 }

@@ -14,11 +14,12 @@ package fsim
 // keeping each group's union region — and therefore its work — small.
 //
 // A group holds at most 64 faults, so every forcing mask is one uint64
-// with bit i standing for the group's lane i. All plan storage is carved
-// from shared slabs owned by the builder:
-// one Engine construction performs a handful of block allocations
-// instead of hundreds of per-list appends. Plan slices must therefore
-// never be appended to after build.
+// with bit i standing for the group's lane i. Each finished plan owns
+// exact-size copies of its lists (its five int32 lists share one
+// backing array), so an Engine's construction allocates in proportion
+// to the circuit and its fault list, with nothing sized in advance.
+// Plan slices are capacity-clamped and must never be appended to after
+// build.
 
 import (
 	"sort"
@@ -27,29 +28,6 @@ import (
 	"seqbist/internal/logic"
 	"seqbist/internal/netlist"
 )
-
-// slab is a bump allocator handing out exact-size slices carved from
-// shared blocks. Carved slices are full-capacity-clamped so an
-// accidental append cannot bleed into a neighbour.
-type slab[T any] struct {
-	buf []T
-}
-
-func (s *slab[T]) alloc(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if cap(s.buf)-len(s.buf) < n {
-		size := 1 << 12
-		for size < n {
-			size <<= 1
-		}
-		s.buf = make([]T, 0, size)
-	}
-	off := len(s.buf)
-	s.buf = s.buf[:off+n]
-	return s.buf[off : off+n : off+n]
-}
 
 // sigMask is a per-signal stem-forcing mask pair.
 type sigMask struct {
@@ -98,11 +76,10 @@ type plan struct {
 	dffForce  []dffMask          // branch forces on flip-flop D pins
 }
 
-// planBuilder holds the reusable marking scratch, the per-group build
-// buffers, and the slabs that back the finished plans. Marks are
-// epoch-stamped so consecutive groups reuse the arrays without clearing;
-// the temporary build lists are reset (not reallocated) per group and
-// copied exact-size into slab storage by finalize.
+// planBuilder holds the reusable marking scratch and the per-group build
+// buffers. Marks are epoch-stamped so consecutive groups reuse the
+// arrays without clearing; the temporary build lists are reset (not
+// reallocated) per group and copied out exact-size by finalize.
 type planBuilder struct {
 	c   *netlist.Circuit
 	csr *netlist.CSR
@@ -124,16 +101,6 @@ type planBuilder struct {
 	tBranches           []gatePinMask
 	tDFFForce           []dffMask
 	tSites              []site
-
-	// Slabs backing the finished plans.
-	i32Slab   slab[int32]
-	sigSlab   slab[netlist.SignalID]
-	stemSlab  slab[sigMask]
-	brSlab    slab[gatePinMask]
-	dffSlab   slab[dffMask]
-	siteSlab  slab[site]
-	faultSlab slab[int]
-	wordSlab  slab[logic.Word]
 }
 
 func newPlanBuilder(c *netlist.Circuit) *planBuilder {
@@ -315,44 +282,41 @@ func (pb *planBuilder) build(fl []faults.Fault, faultIdx []int) plan {
 	return pb.finalize()
 }
 
-// finalize copies the temporary build lists into exact-size slab-backed
-// slices, so each finished plan is self-contained and the temporaries can
-// be reused by the next group.
+// finalize copies the temporary build lists into exact-size slices, so
+// each finished plan is self-contained and the temporaries can be reused
+// by the next group. The five int32 lists are carved from one backing
+// array.
 func (pb *planBuilder) finalize() plan {
-	var p plan
-	p.gates = pb.carveI32(pb.tGates)
-	p.dffs = pb.carveI32(pb.tDFFs)
-	p.pos = pb.carveI32(pb.tPOs)
-	p.stemQs = pb.carveI32(pb.tStemQs)
-	p.seedGates = pb.carveI32(pb.tSeed)
-	if n := len(pb.tStemPIs); n > 0 {
-		p.stemPIs = pb.sigSlab.alloc(n)
-		copy(p.stemPIs, pb.tStemPIs)
+	i32 := make([]int32, 0, len(pb.tGates)+len(pb.tDFFs)+len(pb.tPOs)+len(pb.tStemQs)+len(pb.tSeed))
+	carve := func(src []int32) []int32 {
+		if len(src) == 0 {
+			return nil
+		}
+		off := len(i32)
+		i32 = append(i32, src...)
+		return i32[off:len(i32):len(i32)]
 	}
-	if n := len(pb.tStems); n > 0 {
-		p.stems = pb.stemSlab.alloc(n)
-		copy(p.stems, pb.tStems)
+	return plan{
+		gates:     carve(pb.tGates),
+		dffs:      carve(pb.tDFFs),
+		pos:       carve(pb.tPOs),
+		stemQs:    carve(pb.tStemQs),
+		seedGates: carve(pb.tSeed),
+		stemPIs:   exact(pb.tStemPIs),
+		stems:     exact(pb.tStems),
+		branches:  exact(pb.tBranches),
+		dffForce:  exact(pb.tDFFForce),
+		sites:     exact(pb.tSites),
 	}
-	if n := len(pb.tBranches); n > 0 {
-		p.branches = pb.brSlab.alloc(n)
-		copy(p.branches, pb.tBranches)
-	}
-	if n := len(pb.tDFFForce); n > 0 {
-		p.dffForce = pb.dffSlab.alloc(n)
-		copy(p.dffForce, pb.tDFFForce)
-	}
-	if n := len(pb.tSites); n > 0 {
-		p.sites = pb.siteSlab.alloc(n)
-		copy(p.sites, pb.tSites)
-	}
-	return p
 }
 
-func (pb *planBuilder) carveI32(src []int32) []int32 {
+// exact returns a copy of src with capacity len(src), or nil if src is
+// empty.
+func exact[T any](src []T) []T {
 	if len(src) == 0 {
 		return nil
 	}
-	out := pb.i32Slab.alloc(len(src))
+	out := make([]T, len(src))
 	copy(out, src)
 	return out
 }

@@ -350,29 +350,31 @@ func (t *goodTrace) ensure(n, width int) [][]logic.Value {
 const GroupSize = 64
 
 // buildGroups packs the fault list into lane groups in locality order
-// (PackOrder) and precomputes each group's static active region, drawing
-// all plan and state storage from the builder's slabs.
+// (PackOrder) and precomputes each group's static active region. Each
+// group's lanes are a capacity-clamped window of the packing order, and
+// the groups' flip-flop state words are carved from one exact-size
+// array, so construction allocates in proportion to the circuit.
 func (e *Engine) buildGroups() {
 	c := e.c
 	order := PackOrder(c, e.fl)
 	pb := newPlanBuilder(c)
+	ngroups := (len(order) + GroupSize - 1) / GroupSize
+	nd := c.NumDFFs()
+	state := make([]logic.Word, ngroups*nd)
+	for i := range state {
+		state[i] = logic.AllX()
+	}
+	e.groups = make([]group, 0, ngroups)
 	for start := 0; start < len(order); start += GroupSize {
-		end := start + GroupSize
-		if end > len(order) {
-			end = len(order)
-		}
-		faultIdx := pb.faultSlab.alloc(end - start)
-		copy(faultIdx, order[start:end])
-		g := group{
+		end := min(start+GroupSize, len(order))
+		faultIdx := order[start:end:end]
+		off := len(e.groups) * nd
+		e.groups = append(e.groups, group{
 			fault: faultIdx,
 			alive: fullAlive64(len(faultIdx)),
-			state: pb.wordSlab.alloc(c.NumDFFs()),
+			state: state[off : off+nd : off+nd],
 			plan:  pb.build(e.fl, faultIdx),
-		}
-		for i := range g.state {
-			g.state[i] = logic.AllX()
-		}
-		e.groups = append(e.groups, g)
+		})
 	}
 }
 
