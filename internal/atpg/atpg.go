@@ -114,17 +114,12 @@ func Generate(c *netlist.Circuit, fl []faults.Fault, cfg Config) (*Result, error
 	// The inner loop — build a candidate, Evaluate it, occasionally
 	// Extend by the winner — runs thousands of times per circuit, so all
 	// candidate vectors come from a reusable pool (one buffer per pool
-	// slot, carved from one backing array that grows with the candidate
-	// length) and Evaluate itself pools its good-trace snapshots; the
-	// loop allocates only when a winning candidate is committed into T0
-	// or the candidate length doubles. The pooled builders consume
-	// exactly the random stream of the old allocating builders, so
-	// generated sequences are bit-identical.
-	keep := max(cfg.InitLen, cfg.MaxCandLen)
-	if cfg.MaxLen > 0 {
-		keep = min(keep, cfg.MaxLen)
-	}
-	pool := newCandPool(cfg.PoolSize, c.NumPIs(), keep)
+	// slot, all carved from one backing array) and Evaluate itself pools
+	// its good-trace snapshots; the loop allocates only when a winning
+	// candidate is committed into T0. The pooled builders consume exactly
+	// the random stream of the old allocating builders, so generated
+	// sequences are bit-identical.
+	pool := newCandPool(cfg.PoolSize, c.NumPIs(), max(cfg.InitLen, cfg.MaxCandLen))
 
 	for inc.NumDetected() < len(fl) {
 		if cfg.MaxLen > 0 && t0.Len() >= cfg.MaxLen {
@@ -194,54 +189,36 @@ func Generate(c *netlist.Circuit, fl []faults.Fault, cfg Config) (*Result, error
 	}, nil
 }
 
-// candPool owns one candidate buffer per pool slot plus a scratch vector
-// for the walk strategy. Buffers are overwritten in place every round;
-// winners must be copied out before the next round.
+// candPool owns one preallocated candidate buffer per pool slot plus a
+// scratch vector for the walk strategy. Buffers are overwritten in place
+// every round; winners must be copied out before the next round.
 type candPool struct {
 	width int
-	keep  int
 	bufs  []vectors.Sequence
 	cur   vectors.Vector
 }
 
-// newCandPool returns a pool of poolSize empty buffers whose candidates
-// are kept to at most keep vectors.
-func newCandPool(poolSize, width, keep int) *candPool {
-	return &candPool{width: width, keep: keep, bufs: make([]vectors.Sequence, poolSize), cur: make(vectors.Vector, width)}
-}
-
-// grow re-carves every slot's buffer at length vectors from one backing
-// array. Only the first keep positions of a buffer get storage of their
-// own: no candidate can be kept past MaxLen, so the positions beyond
-// share one spare vector. A longer candidate is then still built in
-// full, so the random stream does not depend on the cap. Buffers a
-// caller still holds keep their old storage.
-func (cp *candPool) grow(length int) {
-	n, w, keep := len(cp.bufs), cp.width, min(length, cp.keep)
-	vals := make([]logic.Value, (n*keep+1)*w)
-	spare := vals[len(vals)-w:]
-	rows := make([]vectors.Vector, n*length)
+// newCandPool carves poolSize buffers of maxLen vectors each from one
+// backing array, so the number of allocations does not grow with the
+// pool's size.
+func newCandPool(poolSize, width, maxLen int) *candPool {
+	cp := &candPool{width: width, cur: make(vectors.Vector, width)}
+	cp.bufs = make([]vectors.Sequence, poolSize)
+	vals := make([]logic.Value, poolSize*maxLen*width)
+	rows := make([]vectors.Vector, poolSize*maxLen)
+	for i := range rows {
+		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
 	for p := range cp.bufs {
-		buf := rows[p*length : (p+1)*length : (p+1)*length]
-		for i := range buf {
-			buf[i] = spare
-			if i < keep {
-				off := (p*keep + i) * w
-				buf[i] = vals[off : off+w : off+w]
-			}
-		}
-		cp.bufs[p] = buf
+		cp.bufs[p] = rows[p*maxLen : (p+1)*maxLen : (p+1)*maxLen]
 	}
+	return cp
 }
 
-// makeCandidate builds one candidate subsequence of length vectors into
-// pool slot p's buffer and returns its first keep vectors (Generate
-// truncates a longer one to MaxLen anyway). The pool index selects the
-// strategy so every round mixes all four kinds.
+// makeCandidate builds one candidate subsequence into pool slot p's
+// buffer. The pool index selects the strategy so every round mixes all
+// four kinds.
 func (cp *candPool) makeCandidate(rng *xrand.RNG, p, length int, last vectors.Vector) vectors.Sequence {
-	if length > len(cp.bufs[p]) {
-		cp.grow(length)
-	}
 	buf := cp.bufs[p][:length]
 	switch p % 4 {
 	case 0:
@@ -255,7 +232,7 @@ func (cp *candPool) makeCandidate(rng *xrand.RNG, p, length int, last vectors.Ve
 	default:
 		cp.constantProbe(rng, buf)
 	}
-	return buf[:min(length, cp.keep)]
+	return buf
 }
 
 // constantProbe holds a constant vector (all-ones or all-zeros) for a few

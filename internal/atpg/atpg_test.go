@@ -148,28 +148,6 @@ func TestCandidateGenerators(t *testing.T) {
 	}
 }
 
-// TestCandidateCap: a pool that keeps fewer vectors than a candidate's
-// length (MaxLen below the candidate length) returns the uncapped
-// candidate's prefix and leaves the random stream exactly where the
-// uncapped pool leaves it, for every strategy, as the buffers grow and
-// shrink with the candidate length.
-func TestCandidateCap(t *testing.T) {
-	full, capped := newCandPool(4, 6, 16), newCandPool(4, 6, 5)
-	rngFull, rngCapped := testRNG(), testRNG()
-	for _, length := range []int{4, 12, 8, 16} {
-		for p := 0; p < 4; p++ {
-			want := full.makeCandidate(rngFull, p, length, nil)
-			got := capped.makeCandidate(rngCapped, p, length, nil)
-			if want.Len() != length || !got.Equal(want[:min(length, 5)]) {
-				t.Fatalf("length %d slot %d: capped candidate %v, want prefix of %v", length, p, got, want)
-			}
-			if rngFull.Uint64() != rngCapped.Uint64() {
-				t.Fatalf("length %d slot %d: random stream diverged", length, p)
-			}
-		}
-	}
-}
-
 // TestInterrupt checks that the hook is polled once per round, before
 // the round's work: when it fires on poll k+1, Generate returns
 // ErrInterrupted after exactly k rounds and simulates nothing after the

@@ -22,8 +22,9 @@
 #                                        # go test output on stderr)
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
-# deterministic `detected` fault count the benchmarks report; CI diffs
-# the counts against BENCH_24.json via scripts/bench_check.sh.
+# deterministic counts the benchmarks report (`detected`, and `t0len`
+# and `totlen` where a leg reports them); CI diffs the counts against
+# BENCH_24.json via scripts/bench_check.sh.
 #
 # BENCH_24.json in the repository root records the engine-construction
 # round (end-to-end benchmark pairs after fault-simulation engines and
@@ -80,18 +81,21 @@ if [ -n "$OUT" ]; then
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; detected = ""
+        ns = ""; bytes = ""; allocs = ""; detected = ""; t0len = ""; totlen = ""
         for (i = 2; i < NF; i++) {
             if ($(i+1) == "ns/op") ns = $i
             if ($(i+1) == "B/op") bytes = $i
             if ($(i+1) == "allocs/op") allocs = $i
             if ($(i+1) == "detected") detected = $i
+            if ($(i+1) == "t0len") t0len = $i
+            if ($(i+1) == "totlen") totlen = $i
         }
         if (ns == "") next
         if (n++) body = body ",\n"
-        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s}",
+        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s, \"t0len\": %s, \"totlen\": %s}",
                             name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs,
-                            detected == "" ? "null" : detected)
+                            detected == "" ? "null" : detected, t0len == "" ? "null" : t0len,
+                            totlen == "" ? "null" : totlen)
     }
     END {
         printf "{\n  \"benchtime\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": {\n%s\n  }\n}\n",

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# bench_check.sh — diff the deterministic detection counts of a
-# scripts/bench.sh -json run against the expected counts committed in
-# BENCH_24.json ("detections" section), and fail on any mismatch. The
+# bench_check.sh — diff the deterministic counts of a scripts/bench.sh
+# -json run against the expected counts committed in BENCH_24.json
+# ("detections" section), and fail on any mismatch. The detection
 # counts cover every engine configuration the suite exercises — the
 # whole-list and candidate-evaluation engine legs, the candidate-parallel
 # Procedure 2 leg, the post-selection compaction/verification leg, the
 # annealing selection leg, the T0 compaction leg and the whole-pipeline
-# s27 job leg — so behavior drift in any of them fails the gate.
+# s27 job leg — so behavior drift in any of them fails the gate. Where
+# a leg also reports the lengths `t0len` and `totlen`, they are gated
+# too, under the keys "<benchmark>:t0len" and "<benchmark>:totlen": the
+# s27 job leg's T0s detect every fault, so only its lengths move when
+# T0 compaction, selection or §3.2 compaction change behavior.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -22,12 +26,17 @@ RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
 EXPECTED=${2:-BENCH_24.json}
 
 # Extract "name": count pairs. The run file carries them as
-#   "Benchmark...": {..., "detected": N}
-# and the expected file as
-#   "detections": { "Benchmark...": N, ... }
+#   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M}
+# (a length is null where the leg does not report it) and the expected
+# file as
+#   "detections": { "Benchmark...": N, "Benchmark...:totlen": M, ... }
 run_counts() {
     grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
         sed -n 's/^"\(Benchmark[^"]*\)": .*"detected": *\([0-9.]*\).*/\1 \2/p'
+    for metric in t0len totlen; do
+        grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
+            sed -n "s/^\"\(Benchmark[^\"]*\)\": .*\"$metric\": *\([0-9.][0-9.]*\).*/\1:$metric \2/p"
+    done
 }
 expected_counts() {
     sed -n '/"detections": {/,/}/p' "$EXPECTED" |
@@ -54,9 +63,10 @@ checked=0
 for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
     BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkAnnealSelect \
-    BenchmarkT0Compaction BenchmarkSynthesizeS27; do
+    BenchmarkT0Compaction BenchmarkSynthesizeS27 \
+    BenchmarkSynthesizeS27:t0len BenchmarkSynthesizeS27:totlen; do
     if ! echo "$RUNS" | awk -v n="$required" '$1 == n { found=1 } END { exit !found }'; then
-        echo "bench_check: required benchmark $required missing from $RUN (renamed, deleted, or no detected metric?)" >&2
+        echo "bench_check: required count $required missing from $RUN (renamed, deleted, or no reported metric?)" >&2
         fail=1
     fi
 done
@@ -68,7 +78,7 @@ while read -r name got; do
         continue
     fi
     if ! awk -v a="$got" -v b="$want" 'BEGIN { exit (a+0 == b+0) ? 0 : 1 }'; then
-        echo "bench_check: $name detected $got faults, expected $want" >&2
+        echo "bench_check: $name counted $got, expected $want" >&2
         fail=1
     else
         checked=$((checked + 1))
@@ -76,7 +86,7 @@ while read -r name got; do
 done <<<"$RUNS"
 
 if [ "$fail" -ne 0 ]; then
-    echo "bench_check: FAIL — detection counts diverge from $EXPECTED" >&2
+    echo "bench_check: FAIL — counts diverge from $EXPECTED" >&2
     exit 1
 fi
-echo "bench_check: PASS — $checked benchmark detection counts match $EXPECTED"
+echo "bench_check: PASS — $checked benchmark counts match $EXPECTED"
