@@ -648,14 +648,54 @@ func BenchmarkGoodSimulationThroughput(b *testing.B) {
 	}
 }
 
+// atpgRoundSeeds are the ATPG seeds BenchmarkATPGRound cycles through.
+var atpgRoundSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
+// BenchmarkATPGRound runs one s298 ATPG (cap 200) per iteration,
+// cycling through a fixed seed list. It reports, summed over the seed
+// list, the faults the generated sequences detect and their raw
+// lengths, both deterministic.
 func BenchmarkATPGRound(b *testing.B) {
 	c := iscas.MustLoad("s298")
 	fl := faults.CollapsedUniverse(c)
 	for i := 0; i < b.N; i++ {
-		if _, err := atpg.Generate(c, fl, atpg.Config{Seed: uint64(i), MaxLen: 200}); err != nil {
+		if _, err := atpg.Generate(c, fl, atpg.Config{Seed: atpgRoundSeeds[i%len(atpgRoundSeeds)], MaxLen: 200}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	var det, t0len int
+	for _, seed := range atpgRoundSeeds {
+		gen, err := atpg.Generate(c, fl, atpg.Config{Seed: seed, MaxLen: 200})
+		if err != nil {
+			b.Fatal(err)
+		}
+		det += gen.NumDetected
+		t0len += gen.Seq.Len()
+	}
+	b.ReportMetric(float64(det), "detected")
+	b.ReportMetric(float64(t0len), "t0len")
+}
+
+// BenchmarkATPGS1423 runs the seed-1 s1423 ATPG at the default cap of
+// 1500 vectors: the T0 the select-t0 workload generates in set-up, and
+// ATPG in the regime where most fault groups stay diverged and escalate
+// to the full-netlist stepper. It reports the faults the sequence
+// detects, its raw length and the gates its engine evaluated, all
+// deterministic.
+func BenchmarkATPGS1423(b *testing.B) {
+	c := iscas.MustLoad("s1423")
+	fl := faults.CollapsedUniverse(c)
+	var gen *atpg.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if gen, err = atpg.Generate(c, fl, atpg.Config{Seed: 1, MaxLen: 1500}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(gen.NumDetected), "detected")
+	b.ReportMetric(float64(gen.Seq.Len()), "t0len")
+	b.ReportMetric(float64(gen.Sim.GatesEvaluated), "gates/op")
 }
 
 // BenchmarkT0Compaction measures vector-restoration compaction of the
@@ -728,6 +768,9 @@ func BenchmarkFaultSimEvaluate(b *testing.B) {
 		inc := fsim.New(c, fl, fsim.Options{})
 		inc.Extend(vectors.RandomSequence(xrand.New(2), c.NumPIs(), 50))
 		cand := vectors.RandomSequence(xrand.New(3), c.NumPIs(), 32)
+		// One untimed call does the engine's one-time repack, so every
+		// iteration measures the steady state.
+		inc.Evaluate(cand)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var det int

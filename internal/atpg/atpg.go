@@ -85,6 +85,9 @@ type Result struct {
 	DetTime     []int
 	NumDetected int
 	Rounds      int
+	// Sim is the generator's fault-simulation engine's counters
+	// (fsim.Engine.Stats).
+	Sim fsim.SimStats
 }
 
 // Coverage returns the fraction of the fault list detected.
@@ -186,6 +189,7 @@ func Generate(c *netlist.Circuit, fl []faults.Fault, cfg Config) (*Result, error
 		DetTime:     res.DetTime,
 		NumDetected: res.NumDetected,
 		Rounds:      rounds,
+		Sim:         inc.Stats(),
 	}, nil
 }
 

@@ -83,17 +83,21 @@ func (m *detectionMemo) newSet() []uint64 { return make([]uint64, m.words) }
 // detect, after simulating it against the faults of want it has not been
 // tested on. The caller must not modify the returned slice.
 //
-// A memoized simulation never evaluates a gate that a plain fsim.Run
-// over all of want would not. That run packs want, in packing order,
-// into plain groups of fsim.GroupSize faults. Here the untested faults of
-// whole plain groups are packed together into one lane group while they
-// fit, and every lane group but the last is padded to full size with
-// tested faults of the plain groups it draws from (simulating them again
-// is harmless), so that fsim packs exactly these lane groups. A lane
-// only ever shares a group with lanes of the plain groups its own lane
-// group draws from, and a group's work is the union of its live lanes'
-// fault effects, so each lane group costs at most the plain groups it
-// draws from.
+// A memoized simulation is built to cost no more than a plain fsim.Run
+// over all of want. That run packs want, in packing order, into plain
+// groups of fsim.GroupSize faults. Here the untested faults of whole
+// plain groups are packed together into one lane group while they fit,
+// and every lane group but the last is padded to full size with tested
+// faults of the plain groups it draws from (simulating them again is
+// harmless), so that fsim's construction packing is exactly these lane
+// groups. A lane only ever shares a group with lanes of the plain groups
+// its own lane group draws from, and a group's work is the union of its
+// live lanes' fault effects, so each lane group costs at most the plain
+// groups it draws from. That bound holds group for group until
+// detections thin the groups out to half their lanes; then both runs
+// repack their live faults into dense groups, diverged machines first
+// (fsim's repack.go), and the gate-count bounds of the oracle tests
+// check that the memoized run still costs no more.
 func (m *detectionMemo) detected(s vectors.Sequence, want []uint64) []uint64 {
 	m.key = m.key[:0]
 	for _, v := range s {

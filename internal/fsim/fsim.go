@@ -8,6 +8,9 @@
 //     dropping and first-detection-time recording. Engine can carry
 //     machine state across calls, which the ATPG substrate uses to
 //     evaluate candidate subsequences cheaply from the current state.
+//     As fault dropping thins the groups out, the engine repacks the
+//     live faults into dense groups (repack.go), diverged machines
+//     first, without changing any result or report order.
 //   - Batch (batch.go): the candidate-parallel two-machine simulator
 //     that Procedure 2 of the paper and T0 compaction run on. It finds
 //     the first of up to 64 candidate stored sequences whose expansion
@@ -44,7 +47,7 @@ package fsim
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"seqbist/internal/faults"
@@ -201,6 +204,14 @@ type group struct {
 // Engine is a parallel-fault simulator that retains machine state between
 // calls. Construct it with New; an Engine is not safe for concurrent use,
 // but all its methods are safe to call repeatedly and in any order.
+//
+// New packs the fault list into groups in PackOrder. Outside the
+// FullEvaluation reference mode, Evaluate and Extend first repack the
+// live faults into fresh dense groups whenever they fill at most half of
+// the live groups' lanes (repack.go); Reset restores the construction
+// packing. Detections, detection times and divergence are per-lane, and
+// newly-detected lists keep the construction packing order, so
+// repacking is invisible in every result.
 type Engine struct {
 	c   *netlist.Circuit
 	csr *netlist.CSR
@@ -225,8 +236,19 @@ type Engine struct {
 	// Pooled good-value trace, one row per time unit of the current call.
 	trace goodTrace
 
-	groups  []group
-	liveBuf []int
+	// groups is the current packing: initGroups (the construction
+	// packing, restored by Reset) until the first repack.
+	groups     []group
+	initGroups []group
+	liveBuf    []int
+
+	// repacked reports that groups is no longer the construction
+	// packing, so reports must be put back into construction packing
+	// order through rank (fault index -> PackOrder position). rank and
+	// pb are built at the first repack and kept across Reset.
+	repacked bool
+	rank     []int32
+	pb       *planBuilder
 
 	// sc is the propagation scratch every group is stepped through.
 	sc *scratch
@@ -279,6 +301,7 @@ type scratch struct {
 	skipped   int64
 	quiescent int64
 	escalated int64
+	repacked  int64
 }
 
 func newScratch(c *netlist.Circuit) *scratch {
@@ -376,6 +399,7 @@ func (e *Engine) buildGroups() {
 			plan:  pb.build(e.fl, faultIdx),
 		})
 	}
+	e.initGroups = e.groups
 }
 
 // loadPlan populates sc's forcing-mask arrays for g, once per call. The
@@ -451,21 +475,35 @@ func (e *Engine) goodTracePeek(seq vectors.Sequence) [][]logic.Value {
 	return rows
 }
 
-// detection locates one newly detected fault in the canonical reporting
-// schedule: relative time unit u, group index gi, lane within the group.
+// detection locates one newly detected fault: relative time unit u,
+// group index gi, lane within the group, and pos, the fault's position
+// in the construction packing order (packPos), which orders reports
+// within a time unit.
 type detection struct {
-	u, gi, lane int
+	u, gi, lane, pos int
+}
+
+// packPos returns the construction packing position of lane of group
+// gi. Until the engine repacks, that is the group-major lane number.
+func (e *Engine) packPos(gi, lane int) int {
+	if !e.repacked {
+		return gi*GroupSize + lane
+	}
+	return int(e.rank[e.groups[gi].fault[lane]])
 }
 
 // Extend simulates the vectors of seq (continuing from the current state),
 // commits the resulting machine states, and returns the indices of newly
-// detected faults. Detected faults are dropped from future simulation.
+// detected faults, ordered by detection time and then by construction
+// packing order (PackOrder). Detected faults are dropped from future
+// simulation.
 func (e *Engine) Extend(seq vectors.Sequence) []int {
 	patternsApplied.Add(int64(len(seq)))
 	e.estat.PatternsApplied += int64(len(seq))
 	if len(seq) == 0 {
 		return nil
 	}
+	e.repackIfSparse()
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTraceCommit(seq)
 	sc := e.sc
@@ -503,7 +541,7 @@ func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence
 		for m := det; m != 0; {
 			lane := trailingZeros(m)
 			m &^= 1 << uint(lane)
-			sc.dets = append(sc.dets, detection{u: u, gi: gi, lane: lane})
+			sc.dets = append(sc.dets, detection{u: u, gi: gi, lane: lane, pos: e.packPos(gi, lane)})
 		}
 		detAll |= det
 		steps = u + 1
@@ -599,19 +637,15 @@ func (e *Engine) sparsifyState(g *group, goodRow []logic.Value, alive uint64) {
 }
 
 // mergeDetections commits collected detections in the canonical reporting
-// order — ascending time unit, then group index, then lane — updating the
-// per-fault records and dropping detected lanes. It advances e.now by
+// order — ascending time unit, then construction packing order — updating
+// the per-fault records and dropping detected lanes. It advances e.now by
 // seqLen and returns the newly detected fault indices.
 func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
-	sort.Slice(dets, func(i, j int) bool {
-		a, b := dets[i], dets[j]
+	slices.SortFunc(dets, func(a, b detection) int {
 		if a.u != b.u {
-			return a.u < b.u
+			return a.u - b.u
 		}
-		if a.gi != b.gi {
-			return a.gi < b.gi
-		}
-		return a.lane < b.lane
+		return a.pos - b.pos
 	})
 	var newly []int
 	for _, d := range dets {
@@ -638,16 +672,19 @@ func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
 // the state brings those faults closer to detection even when it detects
 // nothing itself.
 //
+// newly lists the faults in construction packing order (PackOrder).
+//
 // Evaluate is the ATPG inner loop and is allocation-free in the steady
 // state: the good-value trace, the peek simulator, and all propagation
-// scratch are pooled on the Engine; only a nonempty newly slice
-// allocates.
+// scratch are pooled on the Engine; only a nonempty newly slice (and a
+// repack, when fault dropping has thinned the groups out) allocates.
 func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 	patternsApplied.Add(int64(len(seq)))
 	e.estat.PatternsApplied += int64(len(seq))
 	if len(seq) == 0 {
 		return nil, 0
 	}
+	e.repackIfSparse()
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTracePeek(seq)
 	for _, gi := range e.liveGroups() {
@@ -658,6 +695,10 @@ func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 			detAll &^= 1 << uint(lane)
 			newly = append(newly, g.fault[lane])
 		}
+	}
+	if e.repacked {
+		rank := e.rank
+		slices.SortFunc(newly, func(a, b int) int { return int(rank[a]) - int(rank[b]) })
 	}
 	e.sc.flushInto(e)
 	return newly, divergence

@@ -110,8 +110,13 @@ func (e *Engine) Run(seq vectors.Sequence) Result {
 }
 
 // Reset returns the engine to its initial state: all machines all-unknown,
-// no faults detected, time zero. Plans and pooled buffers are retained. The cumulative Stats are not reset.
+// no faults detected, time zero, faults in the construction packing.
+// Plans and pooled buffers are retained. The cumulative Stats are not
+// reset.
 func (e *Engine) Reset() {
+	if e.repacked {
+		e.groups, e.repacked = e.initGroups, false
+	}
 	for i := range e.goodState {
 		e.goodState[i] = logic.X
 	}

@@ -27,6 +27,9 @@ var (
 	// their region spans the netlist and stays hot (fsim.go,
 	// noteActivity). Each escalation transition counts once.
 	groupsEscalated atomic.Int64
+	// groupsRepacked counts the live groups the engines dissolved when
+	// they repacked their live faults into dense groups (repack.go).
+	groupsRepacked atomic.Int64
 )
 
 // SimStats is a snapshot of simulation-efficiency counters — the
@@ -34,13 +37,15 @@ var (
 // from Engine.Stats. Ratios of GatesEvaluated to
 // GatesEvaluated+GatesSkipped measure how much of the netlist the
 // active-region engine actually touches; GroupsQuiescent counts whole
-// group-time-unit evaluations skipped outright.
+// group-time-unit evaluations skipped outright; GroupsRepacked counts
+// the live groups dissolved by repacking.
 type SimStats struct {
 	PatternsApplied int64 `json:"patterns_applied"`
 	GatesEvaluated  int64 `json:"gates_evaluated"`
 	GatesSkipped    int64 `json:"gates_skipped"`
 	GroupsQuiescent int64 `json:"groups_quiescent"`
 	GroupsEscalated int64 `json:"groups_escalated"`
+	GroupsRepacked  int64 `json:"groups_repacked"`
 }
 
 // Stats returns the cumulative simulation-efficiency counters for this
@@ -52,6 +57,7 @@ func Stats() SimStats {
 		GatesSkipped:    gatesSkipped.Load(),
 		GroupsQuiescent: groupsQuiescent.Load(),
 		GroupsEscalated: groupsEscalated.Load(),
+		GroupsRepacked:  groupsRepacked.Load(),
 	}
 }
 
@@ -78,5 +84,10 @@ func (sc *scratch) flushInto(e *Engine) {
 		groupsEscalated.Add(sc.escalated)
 		e.estat.GroupsEscalated += sc.escalated
 		sc.escalated = 0
+	}
+	if sc.repacked != 0 {
+		groupsRepacked.Add(sc.repacked)
+		e.estat.GroupsRepacked += sc.repacked
+		sc.repacked = 0
 	}
 }

@@ -260,12 +260,15 @@ type MetricsSnapshot struct {
 		// active-region engine, and GroupsQuiescent counts whole
 		// group-time-unit evaluations skipped by the quiescence check.
 		// GroupsEscalated counts group-calls promoted to the flat
-		// full-netlist stepper by the activity heuristic.
+		// full-netlist stepper by the activity heuristic, and
+		// GroupsRepacked the live groups dissolved when an engine
+		// repacked its live faults into dense groups.
 		PatternsApplied int64 `json:"patterns_applied"`
 		GatesEvaluated  int64 `json:"gates_evaluated"`
 		GatesSkipped    int64 `json:"gates_skipped"`
 		GroupsQuiescent int64 `json:"groups_quiescent"`
 		GroupsEscalated int64 `json:"groups_escalated"`
+		GroupsRepacked  int64 `json:"groups_repacked"`
 	} `json:"fsim"`
 	// Strategy reports the synthesis-strategy portfolio: decided races
 	// and per-strategy run/trial/win/wall-time counters.
@@ -447,6 +450,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 	snap.Fsim.GatesSkipped = sim.GatesSkipped
 	snap.Fsim.GroupsQuiescent = sim.GroupsQuiescent
 	snap.Fsim.GroupsEscalated = sim.GroupsEscalated
+	snap.Fsim.GroupsRepacked = sim.GroupsRepacked
 	snap.PhaseSeconds = map[string]float64{
 		"atpg":    time.Duration(m.phaseATPG.Load()).Seconds(),
 		"select":  time.Duration(m.phaseSelect.Load()).Seconds(),

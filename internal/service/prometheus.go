@@ -50,6 +50,7 @@ func writePrometheus(w io.Writer, snap MetricsSnapshot) {
 	c("seqbist_fsim_gates_skipped_total", "Gate evaluations proven unnecessary and skipped.", snap.Fsim.GatesSkipped)
 	c("seqbist_fsim_groups_quiescent_total", "Whole group-time-unit evaluations skipped as quiescent.", snap.Fsim.GroupsQuiescent)
 	c("seqbist_fsim_groups_escalated_total", "Group-calls promoted to the flat full-netlist stepper by the activity heuristic.", snap.Fsim.GroupsEscalated)
+	c("seqbist_fsim_groups_repacked_total", "Live fault groups dissolved by repacking the live faults into dense groups.", snap.Fsim.GroupsRepacked)
 
 	fmt.Fprintf(w, "# HELP seqbist_phase_seconds_total Cumulative pipeline wall time by stage (atpg, select, compact, bist).\n# TYPE seqbist_phase_seconds_total counter\n")
 	phases := make([]string, 0, len(snap.PhaseSeconds))

@@ -91,14 +91,27 @@ func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequ
 	var seqs []vectors.Sequence
 	var cands []fsim.Candidate
 
-	restored := func() vectors.Sequence {
-		seq := make(vectors.Sequence, 0, t0.Len())
+	// restored appends the kept vectors, in time order, to buf[:0].
+	restored := func(buf vectors.Sequence) vectors.Sequence {
+		buf = buf[:0]
 		for u, k := range kept {
 			if k {
-				seq = append(seq, t0[u])
+				buf = append(buf, t0[u])
 			}
 		}
-		return seq
+		return buf
+	}
+	// nextCandidate builds candidate len(seqs) from the kept set, in the
+	// buffer an earlier target left in that slot, so candidates allocate
+	// only the first time a target needs that many.
+	nextCandidate := func() {
+		k := len(seqs)
+		if k < cap(seqs) {
+			seqs = seqs[:k+1]
+		} else {
+			seqs = append(seqs, make(vectors.Sequence, 0, t0.Len()))
+		}
+		seqs[k] = restored(seqs[k])
 	}
 
 	for _, fi := range order {
@@ -124,14 +137,15 @@ func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequ
 				restore = append(restore, u)
 			}
 		}
-		seqs = append(seqs[:0], restored())
+		seqs = seqs[:0]
+		nextCandidate()
 		for end, chunk := 0, 1; end < len(restore); chunk *= 2 {
 			next := min(end+chunk, len(restore))
 			for _, u := range restore[end:next] {
 				kept[u] = true
 			}
 			end = next
-			seqs = append(seqs, restored())
+			nextCandidate()
 		}
 		cands = cands[:0]
 		for _, seq := range seqs {
@@ -168,7 +182,7 @@ func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequ
 		}
 	}
 
-	out := restored()
+	out := restored(make(vectors.Sequence, 0, t0.Len()))
 	st.CompactedLen = out.Len()
 	return out, st, nil
 }

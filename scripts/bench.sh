@@ -8,10 +8,12 @@
 # (BenchmarkAnnealSelect: the anneal strategy's 25 trials on the seed-1
 # s820 T0, then compaction of the winner), the T0 compaction leg
 # (BenchmarkT0Compaction: vector-restoration compaction of the seed-1
-# s298 ATPG sequence) and the per-job leg (BenchmarkSynthesizeS27: one
+# s298 ATPG sequence), the per-job leg (BenchmarkSynthesizeS27: one
 # daemon-mix-shaped s27 job through service.Synthesize, which carries
-# the pipeline's per-job fixed costs) with -benchmem, and optionally
-# emit the parsed numbers as JSON.
+# the pipeline's per-job fixed costs) and the two ATPG legs
+# (BenchmarkATPGRound: s298 at cap 200 over a fixed seed list;
+# BenchmarkATPGS1423: the seed-1 s1423 ATPG at cap 1500) with
+# -benchmem, and optionally emit the parsed numbers as JSON.
 #
 # Usage:
 #   scripts/bench.sh                     # full suite, 3 iterations each
@@ -22,28 +24,28 @@
 #                                        # go test output on stderr)
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
-# deterministic counts the benchmarks report (`detected`, and `t0len`
-# and `totlen` where a leg reports them); CI diffs the counts against
-# BENCH_24.json via scripts/bench_check.sh.
+# deterministic counts the benchmarks report (`detected`, and `t0len`,
+# `totlen` and `gates` where a leg reports them); CI diffs the counts
+# against BENCH_26.json via scripts/bench_check.sh.
 #
-# BENCH_24.json in the repository root records the engine-construction
-# round (end-to-end benchmark pairs after fault-simulation engines and
-# the netlist parser stopped preallocating fixed-size blocks) plus the
-# expected detection counts of every leg; BENCH_23.json, BENCH_22.json,
+# BENCH_26.json in the repository root records the repacking round
+# (end-to-end benchmark pairs after the fault simulator started
+# repacking its live faults into dense groups) plus the expected counts
+# of every leg; BENCH_24.json, BENCH_23.json, BENCH_22.json,
 # BENCH_21.json, BENCH_17.json, BENCH_15.json, BENCH_14.json,
 # BENCH_13.json, BENCH_12.json, BENCH_9.json and BENCH_3.json hold the
 # earlier rounds' records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH='Table2S27|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|AnnealSelect|T0Compaction|SynthesizeS27'
+BENCH='Table2S27|FaultSimLarge|FaultSimEvaluate|FaultSimSingle|Procedure2|CompactVerify|AnnealSelect|T0Compaction|SynthesizeS27|ATPGRound|ATPGS1423'
 COUNT=3x
 OUT=""
 STDOUT_JSON=0
 while [ $# -gt 0 ]; do
     case "$1" in
         -short)
-            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify|AnnealSelect|T0Compaction|SynthesizeS27'
+            BENCH='Table2S27|FaultSimLarge/s1423|FaultSimEvaluate/s1423|FaultSimSingle/s1423|Procedure2|CompactVerify|AnnealSelect|T0Compaction|SynthesizeS27|ATPGRound|ATPGS1423'
             COUNT=1x
             ;;
         -benchtime)
@@ -81,7 +83,7 @@ if [ -n "$OUT" ]; then
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; detected = ""; t0len = ""; totlen = ""
+        ns = ""; bytes = ""; allocs = ""; detected = ""; t0len = ""; totlen = ""; gates = ""
         for (i = 2; i < NF; i++) {
             if ($(i+1) == "ns/op") ns = $i
             if ($(i+1) == "B/op") bytes = $i
@@ -89,13 +91,14 @@ if [ -n "$OUT" ]; then
             if ($(i+1) == "detected") detected = $i
             if ($(i+1) == "t0len") t0len = $i
             if ($(i+1) == "totlen") totlen = $i
+            if ($(i+1) == "gates/op") gates = $i
         }
         if (ns == "") next
         if (n++) body = body ",\n"
-        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s, \"t0len\": %s, \"totlen\": %s}",
+        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s, \"t0len\": %s, \"totlen\": %s, \"gates\": %s}",
                             name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs,
                             detected == "" ? "null" : detected, t0len == "" ? "null" : t0len,
-                            totlen == "" ? "null" : totlen)
+                            totlen == "" ? "null" : totlen, gates == "" ? "null" : gates)
     }
     END {
         printf "{\n  \"benchtime\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": {\n%s\n  }\n}\n",

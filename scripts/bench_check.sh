@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic counts of a scripts/bench.sh
-# -json run against the expected counts committed in BENCH_24.json
+# -json run against the expected counts committed in BENCH_26.json
 # ("detections" section), and fail on any mismatch. The detection
 # counts cover every engine configuration the suite exercises — the
 # whole-list and candidate-evaluation engine legs, the candidate-parallel
 # Procedure 2 leg, the post-selection compaction/verification leg, the
-# annealing selection leg, the T0 compaction leg and the whole-pipeline
-# s27 job leg — so behavior drift in any of them fails the gate. Where
-# a leg also reports the lengths `t0len` and `totlen`, they are gated
-# too, under the keys "<benchmark>:t0len" and "<benchmark>:totlen": the
-# s27 job leg's T0s detect every fault, so only its lengths move when
-# T0 compaction, selection or §3.2 compaction change behavior.
+# annealing selection leg, the T0 compaction leg, the whole-pipeline
+# s27 job leg and the two ATPG legs — so behavior drift in any of them
+# fails the gate. Where a leg also reports the lengths `t0len` and
+# `totlen`, they are gated too, under the keys "<benchmark>:t0len" and
+# "<benchmark>:totlen": the s27 job leg's T0s detect every fault, so
+# only its lengths move when T0 compaction, selection or §3.2
+# compaction change behavior. Where a leg reports `gates` (the gates
+# its engine evaluated per op), that work count is gated under
+# "<benchmark>:gates": like a detection count it is a function of the
+# circuit and seed only, so a change to it must be recorded with its
+# reason.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -18,22 +23,22 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_24.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_26.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_24.json}
+EXPECTED=${2:-BENCH_26.json}
 
 # Extract "name": count pairs. The run file carries them as
-#   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M}
-# (a length is null where the leg does not report it) and the expected
-# file as
+#   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M, "gates": G}
+# (a length or work count is null where the leg does not report it) and
+# the expected file as
 #   "detections": { "Benchmark...": N, "Benchmark...:totlen": M, ... }
 run_counts() {
     grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
         sed -n 's/^"\(Benchmark[^"]*\)": .*"detected": *\([0-9.]*\).*/\1 \2/p'
-    for metric in t0len totlen; do
+    for metric in t0len totlen gates; do
         grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
             sed -n "s/^\"\(Benchmark[^\"]*\)\": .*\"$metric\": *\([0-9.][0-9.]*\).*/\1:$metric \2/p"
     done
@@ -64,7 +69,9 @@ for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
     BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkAnnealSelect \
     BenchmarkT0Compaction BenchmarkSynthesizeS27 \
-    BenchmarkSynthesizeS27:t0len BenchmarkSynthesizeS27:totlen; do
+    BenchmarkSynthesizeS27:t0len BenchmarkSynthesizeS27:totlen \
+    BenchmarkATPGRound BenchmarkATPGRound:t0len \
+    BenchmarkATPGS1423 BenchmarkATPGS1423:t0len BenchmarkATPGS1423:gates; do
     if ! echo "$RUNS" | awk -v n="$required" '$1 == n { found=1 } END { exit !found }'; then
         echo "bench_check: required count $required missing from $RUN (renamed, deleted, or no reported metric?)" >&2
         fail=1
