@@ -489,31 +489,39 @@ func BenchmarkServiceThroughput(b *testing.B) {
 }
 
 // BenchmarkServiceCacheHit measures the content-addressed fast path: a
-// resubmission of completed work is served without any synthesis.
+// resubmission of completed work is served without any synthesis. Each
+// sub-benchmark runs one short job to completion, then times
+// resubmissions of it: the cost of validating a spec, resolving its
+// registry circuit and computing its content key (for s1423, a netlist
+// of 657 gates).
 func BenchmarkServiceCacheHit(b *testing.B) {
-	svc := service.New(service.Config{Workers: 1})
-	defer svc.Close()
-	spec := service.JobSpec{Circuit: "s27", Config: service.GenConfig{
-		N: 1, Seed: 1, ATPGMaxLen: 300, MaxOmissionTrials: 40,
-	}}
-	st, err := svc.Submit(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	waitServiceDone(b, svc, st.ID)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hit, err := svc.Submit(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !hit.CacheHit {
-			b.Fatal("expected a cache hit")
-		}
-		if _, err := svc.Result(hit.ID); err != nil {
-			b.Fatal(err)
-		}
+	for _, circuit := range []string{"s27", "s1423"} {
+		b.Run(circuit, func(b *testing.B) {
+			svc := service.New(service.Config{Workers: 1})
+			defer svc.Close()
+			spec := service.JobSpec{Circuit: circuit, Config: service.GenConfig{
+				N: 1, Seed: 1, ATPGMaxLen: 300, MaxOmissionTrials: 40,
+			}}
+			st, err := svc.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			waitServiceDone(b, svc, st.ID)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hit, err := svc.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !hit.CacheHit {
+					b.Fatal("expected a cache hit")
+				}
+				if _, err := svc.Result(hit.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -16,6 +16,7 @@ package iscas
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"seqbist/internal/bench"
 	"seqbist/internal/netlist"
@@ -139,19 +140,46 @@ func SpecByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
+// shared holds one lazily built circuit per registry name. A Circuit is
+// immutable once built (its derived views are sync.Once-guarded), so
+// every caller in the process can share one: the registry is a fixed set
+// of 13 circuits, about 2 MB with every one built, so the cache is
+// bounded without eviction.
+var shared = func() map[string]*sharedCircuit {
+	m := make(map[string]*sharedCircuit, len(specs))
+	for _, s := range specs {
+		m[s.Name] = &sharedCircuit{spec: s}
+	}
+	return m
+}()
+
+type sharedCircuit struct {
+	spec Spec
+	once sync.Once
+	c    *netlist.Circuit
+	err  error
+}
+
 // Load returns the named benchmark circuit: the embedded s27, or the
-// deterministic synthetic substitute for the other names.
+// deterministic synthetic substitute for the other names. The circuit is
+// built on the first Load of its name and the same *Circuit is returned
+// to every later caller, so it must not be modified; S27 and Synthesize
+// build private copies.
 func Load(name string) (*netlist.Circuit, error) {
-	spec, ok := SpecByName(name)
+	e, ok := shared[name]
 	if !ok {
 		known := Names()
 		sort.Strings(known)
 		return nil, fmt.Errorf("iscas: unknown benchmark %q (known: %v)", name, known)
 	}
-	if !spec.Synthetic {
-		return S27(), nil
-	}
-	return Synthesize(spec)
+	e.once.Do(func() {
+		if !e.spec.Synthetic {
+			e.c = S27()
+			return
+		}
+		e.c, e.err = Synthesize(e.spec)
+	})
+	return e.c, e.err
 }
 
 // MustLoad is Load that panics on error; for tests and examples.

@@ -213,3 +213,38 @@ func TestLoadAllBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadShared checks that Load builds each registry circuit once per
+// process: every call, from any goroutine, returns the same pointer,
+// while S27 and Synthesize still build private copies.
+func TestLoadShared(t *testing.T) {
+	for _, name := range Names() {
+		got := make([]*netlist.Circuit, 4)
+		done := make(chan struct{})
+		for i := range got {
+			go func(i int) {
+				got[i] = MustLoad(name)
+				done <- struct{}{}
+			}(i)
+		}
+		for range got {
+			<-done
+		}
+		first := MustLoad(name)
+		for i, c := range got {
+			if c != first {
+				t.Errorf("%s: Load call %d returned a different circuit", name, i)
+			}
+		}
+	}
+	if S27() == MustLoad("s27") {
+		t.Error("S27 returned the shared circuit")
+	}
+	spec, _ := SpecByName("s298")
+	if c, err := Synthesize(spec); err != nil || c == MustLoad("s298") {
+		t.Errorf("Synthesize returned the shared circuit (err %v)", err)
+	}
+	if _, err := Load("s9999"); err == nil {
+		t.Error("Load(s9999) succeeded after the registry was built")
+	}
+}

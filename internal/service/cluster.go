@@ -327,6 +327,7 @@ func (s *Service) observeRemote(jobs []store.JobRecord, results map[string]*Resu
 			s.metrics.remoteDone.Add(1)
 		case StateFailed, StateCanceled:
 			j.state = st
+			j.release()
 			if rec.Error != "" {
 				j.err = errors.New(rec.Error)
 			} else if st == StateCanceled {
@@ -371,6 +372,7 @@ func (s *Service) completeRemoteLocked(j *job, res *Result, finished time.Time, 
 	j.state = StateDone
 	j.result = res
 	j.finished = finished
+	j.release()
 	s.incResultRef(j.key)
 	if s.cache.put(j.key, res) {
 		s.incResultRef(j.key)
@@ -428,6 +430,7 @@ func (s *Service) claimWork(jobs []store.JobRecord, claims map[string]store.Clai
 				j.state = StateCanceled
 				j.err = context.Canceled
 				j.finished = now
+				j.release()
 				j.onRunning, j.onTerminal = nil, nil
 				ex.detach(j)
 			}

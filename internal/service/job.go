@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"strings"
+	"sync"
 	"time"
 
 	"seqbist/internal/bench"
@@ -148,16 +151,40 @@ func contentKey(c *netlist.Circuit, t0 string, cfg GenConfig) string {
 	// cache.
 	cfg.Parallelism = 0
 	cfg.Lanes = 0
-	h := sha256.New()
-	h.Write([]byte(c.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(bench.Fingerprint(c)))
-	h.Write([]byte{0})
+	h := circuitHash(c)
 	h.Write([]byte(strings.Join(strings.Fields(t0), " ")))
 	h.Write([]byte{0})
 	enc, _ := json.Marshal(cfg)
 	h.Write(enc)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// circuitStates memoizes, per shared registry circuit, the SHA-256 state
+// after contentKey's circuit prefix, so a submission hashes its T0 and
+// config but neither rebuilds nor rehashes the netlist's fingerprint.
+// iscas.Load returns one *Circuit per registry name, so this holds at
+// most one entry per name; uploads are hashed on every call.
+var circuitStates sync.Map // *netlist.Circuit -> []byte (marshaled sha256 state)
+
+// circuitHash returns a SHA-256 hash that has absorbed contentKey's
+// circuit prefix: c's name and structural fingerprint.
+func circuitHash(c *netlist.Circuit) hash.Hash {
+	h := sha256.New()
+	if state, ok := circuitStates.Load(c); ok {
+		// Restoring a state this package marshaled cannot fail.
+		_ = h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state.([]byte))
+		return h
+	}
+	h.Write([]byte(c.Name))
+	h.Write([]byte{0})
+	h.Write([]byte(bench.Fingerprint(c)))
+	h.Write([]byte{0})
+	if shared, err := iscas.Load(c.Name); err == nil && shared == c {
+		if state, err := h.(encoding.BinaryMarshaler).MarshalBinary(); err == nil {
+			circuitStates.Store(c, state)
+		}
+	}
+	return h
 }
 
 // execution is one physical run of the synthesis pipeline. Jobs with the
@@ -168,6 +195,8 @@ func contentKey(c *netlist.Circuit, t0 string, cfg GenConfig) string {
 // interrupted when the last attached job detaches.
 type execution struct {
 	key string
+	// c and t0 are the run's inputs; the worker takes them out when it
+	// dequeues the execution (runExec).
 	c   *netlist.Circuit
 	t0  vectors.Sequence
 	cfg GenConfig
@@ -260,6 +289,14 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 }
+
+// release drops j's parsed circuit and T0 once j is terminal. Only a
+// pending job runs from them, and a terminal record stays retained (up
+// to MaxJobs) long after its run: holding an uploaded netlist or a
+// supplied T0 that long would let tenant input pin memory. The spec
+// stays, since parked store writes carry it until one lands. Callers
+// hold the Service mutex.
+func (j *job) release() { j.c, j.t0 = nil, nil }
 
 // Status is a point-in-time snapshot of a job, safe to serialize.
 type Status struct {

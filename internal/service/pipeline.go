@@ -12,6 +12,7 @@ import (
 	"seqbist/internal/core"
 	"seqbist/internal/experiments"
 	"seqbist/internal/faults"
+	"seqbist/internal/fsim"
 	"seqbist/internal/netlist"
 	"seqbist/internal/strategy"
 	"seqbist/internal/tcompact"
@@ -116,7 +117,7 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 // verification, and the BIST session that produces golden signatures and
 // the hardware cost report. ctx cancellation is polled between stages,
 // once per ATPG round via atpg.Config.Interrupt, once per T0-compaction
-// target via tcompact.CompactInterruptible, and inside Procedure 1 via
+// target via tcompact.CompactFrom, and inside Procedure 1 via
 // core.Config.Interrupt. When obs is non-nil, per-stage wall times
 // are accumulated into it for GET /metrics.
 func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cfg GenConfig, obs *Metrics) (*Result, error) {
@@ -139,7 +140,10 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 			return nil, fmt.Errorf("atpg: %v", err)
 		}
 		rawT0Len = gen.Seq.Len()
-		if t0, _, err = tcompact.CompactInterruptible(c, fl, gen.Seq, interrupt); err != nil {
+		// ATPG's engine already holds T0's detection record, so
+		// compaction starts from it instead of re-simulating T0.
+		det := fsim.Result{Detected: gen.Detected, DetTime: gen.DetTime, NumDetected: gen.NumDetected}
+		if t0, _, err = tcompact.CompactFrom(c, fl, gen.Seq, det, interrupt); err != nil {
 			return nil, ctx.Err()
 		}
 		obs.observePhase("atpg", time.Since(atpgStart))

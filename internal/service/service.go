@@ -440,6 +440,7 @@ func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpe
 		j.cacheHit = true
 		j.result = res
 		j.finished = j.submitted
+		j.release()
 		// The cache entry keeps the result body alive in the store, so a
 		// cache-hit job only adds its own reference — and it must do so
 		// *before* register, whose retention pass may evict this very job
@@ -611,6 +612,7 @@ func (s *Service) Cancel(id string) (Status, error) {
 		j.state = StateCanceled
 		j.err = context.Canceled
 		j.finished = time.Now()
+		j.release()
 		flipped = true
 		hook = j.onTerminal
 		j.onTerminal = nil // the worker must not fire it again
@@ -729,6 +731,10 @@ type terminalHook struct {
 // mutex, so the hooks may call back into the Service).
 func (s *Service) runExec(ex *execution) {
 	s.mu.Lock()
+	// Canceled jobs keep pointing at ex, so it must not hold the inputs
+	// past this point (see job.release).
+	c, t0 := ex.c, ex.t0
+	ex.c, ex.t0 = nil, nil
 	if len(ex.jobs) == 0 { // every attached job was canceled while queued
 		s.dropInflight(ex)
 		s.releaseLeaseLocked(ex)
@@ -753,7 +759,7 @@ func (s *Service) runExec(ex *execution) {
 		fn(runSts[i])
 	}
 
-	res, err := synthesize(ex.ctx, ex.c, ex.t0, ex.cfg, &s.metrics)
+	res, err := synthesize(ex.ctx, c, t0, ex.cfg, &s.metrics)
 	ctxErr := ex.ctx.Err()
 	ex.cancel() // release the context's registration under rootCtx
 
@@ -789,6 +795,7 @@ func (s *Service) runExec(ex *execution) {
 	}
 	for _, j := range jobs {
 		j.finished = finished
+		j.release()
 		switch {
 		case ctxErr != nil:
 			j.state = StateCanceled

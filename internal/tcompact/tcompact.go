@@ -63,12 +63,19 @@ func Compact(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence) (vector
 // ErrInterrupted (and a nil sequence) without simulating further. A hook
 // that never fires leaves the result identical to Compact's.
 func CompactInterruptible(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, interrupt func() bool) (vectors.Sequence, Stats, error) {
-	st := Stats{OriginalLen: t0.Len()}
+	return CompactFrom(c, fl, t0, fsim.Run(c, fl, t0), interrupt)
+}
+
+// CompactFrom is CompactInterruptible for a t0 whose detection record is
+// already known: base must be what fsim.Run(c, fl, t0) returns, as
+// atpg.Result's Detected, DetTime and NumDetected are for its Seq. It
+// skips the fault simulation of t0 that step 1 would otherwise run, and
+// returns what CompactInterruptible returns.
+func CompactFrom(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, base fsim.Result, interrupt func() bool) (vectors.Sequence, Stats, error) {
+	st := Stats{OriginalLen: t0.Len(), Targets: base.NumDetected}
 	if t0.Len() == 0 {
 		return nil, st, nil
 	}
-	base := fsim.Run(c, fl, t0)
-	st.Targets = base.NumDetected
 
 	// Faults T0 detects, in decreasing detection-time order.
 	order := make([]int, 0, base.NumDetected)

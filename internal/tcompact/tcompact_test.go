@@ -156,3 +156,26 @@ func TestCompactInterruptible(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactFromATPGRecord checks that compaction started from ATPG's
+// own detection record returns exactly what Compact returns after
+// re-simulating the generated sequence, including its stats.
+func TestCompactFromATPGRecord(t *testing.T) {
+	for _, name := range []string{"s27", "s298", "s344", "s526"} {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		for seed := uint64(1); seed <= 3; seed++ {
+			gen, err := atpg.Generate(c, fl, atpg.Config{Seed: seed, MaxLen: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt := Compact(c, fl, gen.Seq)
+			det := fsim.Result{Detected: gen.Detected, DetTime: gen.DetTime, NumDetected: gen.NumDetected}
+			got, gotSt, err := CompactFrom(c, fl, gen.Seq, det, nil)
+			if err != nil || !got.Equal(want) || gotSt != wantSt {
+				t.Errorf("%s seed %d: CompactFrom len %d stats %+v err %v; Compact len %d stats %+v",
+					name, seed, got.Len(), gotSt, err, want.Len(), wantSt)
+			}
+		}
+	}
+}

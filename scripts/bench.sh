@@ -26,12 +26,13 @@
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic counts the benchmarks report (`detected`, and `t0len`,
 # `totlen` and `gates` where a leg reports them); CI diffs the counts
-# against BENCH_26.json via scripts/bench_check.sh.
+# against BENCH_27.json via scripts/bench_check.sh.
 #
-# BENCH_26.json in the repository root records the repacking round
-# (end-to-end benchmark pairs after the fault simulator started
-# repacking its live faults into dense groups) plus the expected counts
-# of every leg; BENCH_24.json, BENCH_23.json, BENCH_22.json,
+# BENCH_27.json in the repository root records the shared-circuit round
+# (end-to-end benchmark pairs, from scripts/ab.sh, after each registry
+# circuit came to be built once per process and shared across jobs)
+# plus the expected counts of every leg; BENCH_26.json, BENCH_24.json,
+# BENCH_23.json, BENCH_22.json,
 # BENCH_21.json, BENCH_17.json, BENCH_15.json, BENCH_14.json,
 # BENCH_13.json, BENCH_12.json, BENCH_9.json and BENCH_3.json hold the
 # earlier rounds' records.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic counts of a scripts/bench.sh
-# -json run against the expected counts committed in BENCH_26.json
+# -json run against the expected counts committed in BENCH_27.json
 # ("detections" section), and fail on any mismatch. The detection
 # counts cover every engine configuration the suite exercises — the
 # whole-list and candidate-evaluation engine legs, the candidate-parallel
@@ -23,12 +23,12 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_26.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_27.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_26.json}
+EXPECTED=${2:-BENCH_27.json}
 
 # Extract "name": count pairs. The run file carries them as
 #   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M, "gates": G}
