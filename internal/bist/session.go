@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"errors"
 	"fmt"
 
 	"seqbist/internal/faults"
@@ -44,7 +45,14 @@ type Session struct {
 	expansions []vectors.Sequence
 
 	atSpeedCycles int
+
+	// Interrupt, when non-nil, is polled by RunGolden once per stored
+	// sequence; when it returns true, RunGolden stops with ErrInterrupted.
+	Interrupt func() bool
 }
+
+// ErrInterrupted is returned by RunGolden when Session.Interrupt fired.
+var ErrInterrupted = errors.New("bist: session interrupted")
 
 // NewSession prepares a BIST session for the stored sequence set with
 // repetition count n. The memory is sized to the longest sequence.
@@ -78,6 +86,9 @@ func (s *Session) RunGolden() error {
 	s.atSpeedCycles = 0
 	simulator := sim.New(s.c)
 	for _, stored := range s.set {
+		if s.Interrupt != nil && s.Interrupt() {
+			return ErrInterrupted
+		}
 		if err := s.mem.Load(stored); err != nil {
 			return err
 		}

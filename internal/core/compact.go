@@ -48,6 +48,11 @@ type CompactStats struct {
 // Results of one Selector share its memo, so like the Selector they must
 // not be used from two goroutines at once. The returned slice preserves
 // the generation order of the survivors.
+//
+// cfg.Interrupt is polled once per sequence simulated in a pass. When it
+// fires, compaction stops and returns the survivors of the passes it
+// completed, which still detect all of F; the caller, which knows why it
+// canceled, decides whether to use them.
 func CompactSet(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Config) ([]Selected, CompactStats) {
 	return CompactSetPasses(c, fl, res, cfg, [4]bool{true, true, true, true})
 }
@@ -79,6 +84,7 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 
 	uncovered := m.newSet()
 	keep := make([]bool, len(res.Set))
+passes:
 	for pass := 0; pass < 4; pass++ {
 		if !enabled[pass] {
 			continue
@@ -97,6 +103,9 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 
 		copy(uncovered, inF)
 		for _, p := range work {
+			if cfg.interrupted() {
+				break passes
+			}
 			newly := 0
 			for w, d := range m.detected(res.Set[p].Seq, uncovered) {
 				d &= uncovered[w]
@@ -105,12 +114,11 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 			}
 			detCount[p] = newly
 			keep[p] = newly > 0
-			if newly == 0 {
-				stats.Dropped[pass]++
-			}
 		}
 
+		before := len(set)
 		set = slices.DeleteFunc(set, func(p int) bool { return !keep[p] })
+		stats.Dropped[pass] = before - len(set)
 	}
 	out := make([]Selected, len(set))
 	for i, p := range set {
@@ -132,11 +140,15 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 // other faults it is simulated with, so each sequence is simulated only
 // against the targets no earlier sequence of set detected, and the
 // remaining sequences are skipped once every target is covered.
+//
+// cfg.Interrupt is polled once per sequence. When it fires, the check
+// stops and returns the targets not yet confirmed, so an interrupted
+// check never certifies; the caller must not report them as missed.
 func VerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
 	live := targets(fl, res)
 	sub := make([]faults.Fault, 0, len(live))
 	for _, s := range set {
-		if len(live) == 0 {
+		if len(live) == 0 || cfg.interrupted() {
 			break
 		}
 		sub = sub[:0]

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"seqbist/internal/expand"
@@ -83,8 +84,9 @@ type Config struct {
 	// Interrupt, when non-nil, is polled between units of work (once per
 	// targeted fault and once per batch of up to fsim.MaxBatch Procedure 2
 	// candidates). When it returns true, selection stops with
-	// ErrInterrupted. The service layer uses this to cancel in-flight
-	// jobs promptly.
+	// ErrInterrupted. CompactSet and VerifyCoverage poll it too, once per
+	// sequence they simulate, and stop early (see each). The service
+	// layer uses this to cancel in-flight jobs promptly.
 	Interrupt func() bool
 }
 
@@ -219,12 +221,22 @@ type Selector struct {
 	t0p   fsim.Packed
 	batch *fsim.Batch
 	cands [fsim.MaxBatch]fsim.Candidate
+	// An omission scan's sequence, as the positions of the target's
+	// window it keeps: the bitset kept and, in order, pos. drop[j] is the
+	// window position omission candidate j leaves out, and lanes[u] the
+	// candidate that batch lane u simulates.
+	kept  []uint64
+	pos   []int
+	drop  [fsim.MaxBatch]int
+	lanes [fsim.MaxBatch]int
 	// baseRes memoizes the T0 fault simulation (step 1 of Procedure 1),
 	// which depends only on the circuit, fault list, and T0 — strategies
 	// that call RunOrder many times on one Selector pay for it once.
 	baseRes *fsim.Result
-	// memo remembers step-4 and compaction detections per subsequence
-	// and each target's window search, across every run on the Selector.
+	// memo remembers step-4 and compaction detections per subsequence,
+	// each target's window search and the outcome of every omission
+	// candidate simulated in a window of at most 64 vectors, across every
+	// run on the Selector.
 	memo *detectionMemo
 }
 
@@ -259,6 +271,9 @@ func Select(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg Conf
 	if err != nil {
 		return nil, err
 	}
+	// One run scans each target once, so no omission outcome would be
+	// read back.
+	sel.memo.omits = nil
 	return sel.Run()
 }
 
@@ -492,6 +507,60 @@ func (sel *Selector) trial(f, k int) int {
 	return hit
 }
 
+// omitTrial is trial for the first k omission candidates in sel.cands,
+// candidate j keeping the window positions in sel.kept except
+// sel.drop[j].
+// In a window of at most 64 vectors it asks the memo first: only the
+// candidates of unknown outcome ahead of the first known detection are
+// simulated, in their order, and every outcome that simulation determined
+// is recorded (candidates behind the lowest detecting lane were never
+// finished). Whatever the memo answers, the result and the trial count
+// charged are trial's. Longer windows, and a Selector whose memo keeps no
+// omission outcomes, go straight to trial.
+func (sel *Selector) omitTrial(f, k int) int {
+	if len(sel.kept) > 1 || sel.memo.omits == nil {
+		return sel.trial(f, k)
+	}
+	hit, u := -1, 0
+	for j := 0; j < k; j++ {
+		known, detects := sel.memo.omission(f, sel.kept[0]&^(1<<sel.drop[j]))
+		if !known {
+			sel.cands[u], sel.lanes[u] = sel.cands[j], j
+			u++
+		} else if detects {
+			hit = j
+			break
+		}
+	}
+	if u > 0 {
+		lane := sel.batch.FirstDetecting(sel.fl[f], sel.cands[:u], sel.cfg.N, sel.cfg.expandOps())
+		if lane >= 0 {
+			hit, u = sel.lanes[lane], lane+1
+		}
+		for l := 0; l < u; l++ {
+			sel.memo.recordOmission(f, sel.kept[0]&^(1<<sel.drop[sel.lanes[l]]), l == lane)
+		}
+	}
+	if hit >= 0 {
+		sel.sims += hit + 1
+	} else {
+		sel.sims += k
+	}
+	return hit
+}
+
+// keepWindow resets the omission scan's state to a whole window of n
+// vectors.
+func (sel *Selector) keepWindow(n int) {
+	sel.kept = slices.Grow(sel.kept[:0], (n+63)/64)[:(n+63)/64]
+	clear(sel.kept)
+	sel.pos = slices.Grow(sel.pos[:0], n)[:n]
+	for i := range n {
+		sel.kept[i/64] |= 1 << (i % 64)
+		sel.pos[i] = i
+	}
+}
+
 // batchSize caps the next omission batch at fsim.MaxBatch, the untried
 // rest of the scan, and what is left of the MaxOmissionTrials budget
 // since the omission phase began at trial count start; 0 means the
@@ -512,6 +581,7 @@ func (sel *Selector) batchSize(rest, start int) int {
 // accepts first.
 func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence, p1 fsim.Packed) (vectors.Sequence, error) {
 	start := sel.sims
+	sel.keepWindow(t1.Len())
 	for {
 		perm := sel.rng.Perm(t1.Len())
 		if t1.Len() == 1 {
@@ -530,9 +600,13 @@ func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence, p1 fsim.Packed)
 			}
 			for j := 0; j < k; j++ {
 				sel.cands[j] = p1.Omitting(perm[b+j])
+				sel.drop[j] = sel.pos[perm[b+j]]
 			}
-			if hit := sel.trial(f, k); hit >= 0 {
-				t1, p1 = t1.OmitAt(perm[b+hit]), p1.OmitAt(perm[b+hit])
+			if hit := sel.omitTrial(f, k); hit >= 0 {
+				i := perm[b+hit]
+				t1, p1 = t1.OmitAt(i), p1.OmitAt(i)
+				sel.kept[sel.pos[i]/64] &^= 1 << (sel.pos[i] % 64)
+				sel.pos = slices.Delete(sel.pos, i, i+1)
 				accepted = true
 				break
 			}
@@ -551,9 +625,8 @@ func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence, p1 fsim.Packed)
 // the accepted position, over the shorter sequence.
 func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence, p1 fsim.Packed) (vectors.Sequence, error) {
 	start := sel.sims
-	omitted := make([]bool, t1.Len())
+	sel.keepWindow(t1.Len())
 	perm := sel.rng.Perm(t1.Len())
-	var idx [fsim.MaxBatch]int
 	for b := 0; b < len(perm) && t1.Len() > 1; {
 		k := sel.batchSize(len(perm)-b, start)
 		if k == 0 {
@@ -563,27 +636,34 @@ func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence, p1 fsim.Packed) 
 			return nil, ErrInterrupted
 		}
 		for j := 0; j < k; j++ {
-			// Map the original position to its index in the current
-			// sequence.
+			// perm runs over window positions; the candidate omits the
+			// vector at its index in the current sequence, the number
+			// of kept positions before it.
 			orig := perm[b+j]
-			idx[j] = 0
-			for i := 0; i < orig; i++ {
-				if !omitted[i] {
-					idx[j]++
-				}
-			}
-			sel.cands[j] = p1.Omitting(idx[j])
+			sel.drop[j] = orig
+			sel.cands[j] = p1.Omitting(sel.keptBefore(orig))
 		}
-		hit := sel.trial(f, k)
+		hit := sel.omitTrial(f, k)
 		if hit < 0 {
 			b += k
 			continue
 		}
-		t1, p1 = t1.OmitAt(idx[hit]), p1.OmitAt(idx[hit])
-		omitted[perm[b+hit]] = true
+		orig := perm[b+hit]
+		i := sel.keptBefore(orig)
+		t1, p1 = t1.OmitAt(i), p1.OmitAt(i)
+		sel.kept[orig/64] &^= 1 << (orig % 64)
 		b += hit + 1
 	}
 	return t1, nil
+}
+
+// keptBefore counts the window positions below p the scan keeps.
+func (sel *Selector) keptBefore(p int) int {
+	n := bits.OnesCount64(sel.kept[p/64] & (1<<(p%64) - 1))
+	for _, w := range sel.kept[:p/64] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Sims returns the serial-equivalent number of Procedure 2 trials

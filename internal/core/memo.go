@@ -21,7 +21,11 @@ import (
 //
 // Procedure 2's window search (steps 1-3) is a pure function of the
 // target, T0, n and the expansion ops, so its outcome is kept per target
-// together with the serial-equivalent trial count it charged.
+// together with the serial-equivalent trial count it charged. The window
+// is therefore fixed per target, and an omission candidate is named by
+// its target and the window positions it keeps; whether its expansion
+// detects the target is kept for every candidate an omission scan
+// simulated in a window of at most 64 vectors (one entry each).
 type detectionMemo struct {
 	c     *netlist.Circuit
 	fl    []faults.Fault
@@ -34,6 +38,9 @@ type detectionMemo struct {
 	// windows[f] is target f's completed window search; sims == 0 marks
 	// one not yet run (a completed search charges at least one trial).
 	windows []windowSearch
+	// omits maps an omission candidate to whether its expansion detects
+	// its target; nil when nothing will read it (see Select).
+	omits map[omitKey]bool
 	// key, group, lane, sub and idx are reused buffers.
 	key   []byte
 	group []int
@@ -52,6 +59,13 @@ type windowSearch struct {
 	ustart, sims int
 }
 
+// omitKey names one omission candidate: its target and the positions of
+// the target's window T0[ustart, udet] it keeps, as a bitset.
+type omitKey struct {
+	f    int32
+	kept uint64
+}
+
 func newDetectionMemo(c *netlist.Circuit, fl []faults.Fault, cfg Config) *detectionMemo {
 	return &detectionMemo{
 		c:       c,
@@ -62,6 +76,7 @@ func newDetectionMemo(c *netlist.Circuit, fl []faults.Fault, cfg Config) *detect
 		order:   fsim.PackOrder(c, fl),
 		seqs:    make(map[string]*seqEntry),
 		windows: make([]windowSearch, len(fl)),
+		omits:   make(map[omitKey]bool),
 	}
 }
 
@@ -165,4 +180,18 @@ func (m *detectionMemo) detected(s vectors.Sequence, want []uint64) []uint64 {
 		}
 	}
 	return e.detected
+}
+
+// omission reports whether the outcome of target f's candidate keeping
+// the window positions in kept is known, and if so whether its expansion
+// detects f.
+func (m *detectionMemo) omission(f int, kept uint64) (known, detects bool) {
+	detects, known = m.omits[omitKey{int32(f), kept}]
+	return known, detects
+}
+
+// recordOmission records whether the expansion of target f's candidate
+// keeping the window positions in kept detects f.
+func (m *detectionMemo) recordOmission(f int, kept uint64, detects bool) {
+	m.omits[omitKey{int32(f), kept}] = detects
 }

@@ -117,9 +117,11 @@ func Synthesize(ctx context.Context, spec JobSpec) (*Result, error) {
 // verification, and the BIST session that produces golden signatures and
 // the hardware cost report. ctx cancellation is polled between stages,
 // once per ATPG round via atpg.Config.Interrupt, once per T0-compaction
-// target via tcompact.CompactFrom, and inside Procedure 1 via
-// core.Config.Interrupt. When obs is non-nil, per-stage wall times
-// are accumulated into it for GET /metrics.
+// target via tcompact.CompactFrom, inside Procedure 1, §3.2 compaction
+// and verification via core.Config.Interrupt, and once per stored
+// sequence of the BIST golden run via bist.Session.Interrupt; a canceled
+// run returns ctx's error and no Result. When obs is non-nil, per-stage
+// wall times are accumulated into it for GET /metrics.
 func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cfg GenConfig, obs *Metrics) (*Result, error) {
 	start := time.Now()
 	fl := faults.CollapsedUniverse(c)
@@ -187,7 +189,11 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if missed := core.VerifyCoverage(c, fl, res, set, coreCfg); len(missed) != 0 {
+	missed := core.VerifyCoverage(c, fl, res, set, coreCfg)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(missed) != 0 {
 		return nil, fmt.Errorf("internal error: %d faults lost by selection", len(missed))
 	}
 
@@ -200,7 +206,14 @@ func synthesize(ctx context.Context, c *netlist.Circuit, t0 vectors.Sequence, cf
 	if err != nil {
 		return nil, err
 	}
+	sess.Interrupt = interrupt
 	if err := sess.RunGolden(); err != nil {
+		if errors.Is(err, bist.ErrInterrupted) {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	obs.observePhase("bist", time.Since(bistStart))

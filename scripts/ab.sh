@@ -14,7 +14,13 @@
 # working/base ratios, the pairs the working tree wins and the base's
 # IQR over its median. A metric whose base spread exceeds its bound in
 # BENCHMARK.json is marked "resolved": false, since a change smaller
-# than the noise cannot be told from it.
+# than the noise cannot be told from it. Two verdicts follow per metric:
+# "gain_shown" is true when the working tree wins at least 9 of 10 pairs
+# (a tie counts for neither side) and its median beats the base median
+# by more than the base's IQR; "within_bound" is true when the working
+# median trails the base median by at most the metric's bound, and
+# "unresolved" when the base spread exceeds the bound, unless every
+# working run beats every base run.
 #
 # Usage: scripts/ab.sh <base-rev> [-w workload] [-s seed] [-n pairs] [-o out.json]
 #   scripts/ab.sh HEAD~1 -w daemon-mix -n 10
@@ -131,11 +137,21 @@ BEGIN {
     for (i = 1; i <= nb; i++) { bs[i] = base[i]; ws[i] = work[i] }
     sortn(bs, nb); sortn(ws, nw); sortn(ratio, nr)
     bq1 = quantile(bs, nb, 0.25); bmed = quantile(bs, nb, 0.5); bq3 = quantile(bs, nb, 0.75)
+    wmed = quantile(ws, nw, 0.5)
     spread = bmed != 0 ? (bq3 - bq1) / bmed : 0
-    entry[++ne] = sprintf("    \"%s\": {\"parent_q1_median_q3\": [%.4f, %.4f, %.4f], \"current_q1_median_q3\": [%.4f, %.4f, %.4f], \"median_ratio\": %.3f, \"current_better_pairs\": \"%d/%d\", \"parent_iqr_over_median\": %.3f, \"resolved\": %s, \"parent_runs\": %s, \"current_runs\": %s}",
-        name, bq1, bmed, bq3, quantile(ws, nw, 0.25), quantile(ws, nw, 0.5), quantile(ws, nw, 0.75),
+    # gain is how far the working median beats the base median, and
+    # worse the ratio by which it trails it (0 when it does not).
+    sign = better == "lower" ? 1 : -1
+    gain = sign * (bmed - wmed)
+    worse = bmed != 0 ? sign * (wmed - bmed) / bmed : 0
+    gain_shown = 10 * wins >= 9 * nb && gain > bq3 - bq1
+    # Every working run beats every base run.
+    apart = better == "lower" ? ws[nw] < bs[1] : ws[1] > bs[nb]
+    within = spread > bound && !apart ? "\"unresolved\"" : (worse <= bound ? "true" : "false")
+    entry[++ne] = sprintf("    \"%s\": {\"parent_q1_median_q3\": [%.4f, %.4f, %.4f], \"current_q1_median_q3\": [%.4f, %.4f, %.4f], \"median_ratio\": %.3f, \"current_better_pairs\": \"%d/%d\", \"parent_iqr_over_median\": %.3f, \"resolved\": %s, \"gain_shown\": %s, \"within_bound\": %s, \"parent_runs\": %s, \"current_runs\": %s}",
+        name, bq1, bmed, bq3, quantile(ws, nw, 0.25), wmed, quantile(ws, nw, 0.75),
         quantile(ratio, nr, 0.5), wins, nb, spread, spread > bound ? "false" : "true",
-        list(base, nb), list(work, nw))
+        gain_shown ? "true" : "false", within, list(base, nb), list(work, nw))
 }
 END {
     printf "\"%s\": {\n    \"seed\": %d, \"pairs\": %d, \"all_correct\": %s, \"failed_ops\": [%d, %d],\n", workload, seed, pairs, correct, failed["base"], failed["work"]

@@ -25,13 +25,14 @@
 #
 # The parsed JSON carries, per benchmark, the timing numbers and the
 # deterministic counts the benchmarks report (`detected`, and `t0len`,
-# `totlen` and `gates` where a leg reports them); CI diffs the counts
-# against BENCH_27.json via scripts/bench_check.sh.
+# `totlen`, `gates`, `sims` and `trials` where a leg reports them); CI
+# diffs the counts against BENCH_28.json via scripts/bench_check.sh.
 #
-# BENCH_27.json in the repository root records the shared-circuit round
-# (end-to-end benchmark pairs, from scripts/ab.sh, after each registry
-# circuit came to be built once per process and shared across jobs)
-# plus the expected counts of every leg; BENCH_26.json, BENCH_24.json,
+# BENCH_28.json in the repository root records the omission-memo round
+# (end-to-end benchmark pairs, from scripts/ab.sh, after Procedure 2's
+# repeated omission trials came to be answered from the Selector's memo)
+# plus the expected counts of every leg; BENCH_27.json, BENCH_26.json,
+# BENCH_24.json,
 # BENCH_23.json, BENCH_22.json,
 # BENCH_21.json, BENCH_17.json, BENCH_15.json, BENCH_14.json,
 # BENCH_13.json, BENCH_12.json, BENCH_9.json and BENCH_3.json hold the
@@ -84,7 +85,7 @@ if [ -n "$OUT" ]; then
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; detected = ""; t0len = ""; totlen = ""; gates = ""
+        ns = ""; bytes = ""; allocs = ""; detected = ""; t0len = ""; totlen = ""; gates = ""; sims = ""; trials = ""
         for (i = 2; i < NF; i++) {
             if ($(i+1) == "ns/op") ns = $i
             if ($(i+1) == "B/op") bytes = $i
@@ -93,13 +94,16 @@ if [ -n "$OUT" ]; then
             if ($(i+1) == "t0len") t0len = $i
             if ($(i+1) == "totlen") totlen = $i
             if ($(i+1) == "gates/op") gates = $i
+            if ($(i+1) == "sims") sims = $i
+            if ($(i+1) == "trials") trials = $i
         }
         if (ns == "") next
         if (n++) body = body ",\n"
-        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s, \"t0len\": %s, \"totlen\": %s, \"gates\": %s}",
+        body = body sprintf("    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"detected\": %s, \"t0len\": %s, \"totlen\": %s, \"gates\": %s, \"sims\": %s, \"trials\": %s}",
                             name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs,
                             detected == "" ? "null" : detected, t0len == "" ? "null" : t0len,
-                            totlen == "" ? "null" : totlen, gates == "" ? "null" : gates)
+                            totlen == "" ? "null" : totlen, gates == "" ? "null" : gates,
+                            sims == "" ? "null" : sims, trials == "" ? "null" : trials)
     }
     END {
         printf "{\n  \"benchtime\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": {\n%s\n  }\n}\n",

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_check.sh — diff the deterministic counts of a scripts/bench.sh
-# -json run against the expected counts committed in BENCH_27.json
+# -json run against the expected counts committed in BENCH_28.json
 # ("detections" section), and fail on any mismatch. The detection
 # counts cover every engine configuration the suite exercises — the
 # whole-list and candidate-evaluation engine legs, the candidate-parallel
@@ -15,7 +15,9 @@
 # its engine evaluated per op), that work count is gated under
 # "<benchmark>:gates": like a detection count it is a function of the
 # circuit and seed only, so a change to it must be recorded with its
-# reason.
+# reason. So are Procedure 2's serial-equivalent trial count `sims` and
+# a search strategy's trial count `trials`, under "<benchmark>:sims" and
+# "<benchmark>:trials": a memo that answers a trial must still charge it.
 #
 # Timings vary with the host and are never compared; the detection
 # counts are pure functions of the circuits and fixed RNG seeds, so any
@@ -23,22 +25,23 @@
 # speed — exactly the class of regression a timing-only smoke run lets
 # through.
 #
-# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_27.json]
+# Usage: scripts/bench_check.sh <bench-run.json> [BENCH_28.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN=${1:?usage: scripts/bench_check.sh <bench-run.json> [expected.json]}
-EXPECTED=${2:-BENCH_27.json}
+EXPECTED=${2:-BENCH_28.json}
 
 # Extract "name": count pairs. The run file carries them as
-#   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M, "gates": G}
+#   "Benchmark...": {..., "detected": N, "t0len": L, "totlen": M, "gates": G,
+#                    "sims": S, "trials": R}
 # (a length or work count is null where the leg does not report it) and
 # the expected file as
 #   "detections": { "Benchmark...": N, "Benchmark...:totlen": M, ... }
 run_counts() {
     grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
         sed -n 's/^"\(Benchmark[^"]*\)": .*"detected": *\([0-9.]*\).*/\1 \2/p'
-    for metric in t0len totlen gates; do
+    for metric in t0len totlen gates sims trials; do
         grep -o '"Benchmark[^"]*": *{[^}]*}' "$RUN" |
             sed -n "s/^\"\(Benchmark[^\"]*\)\": .*\"$metric\": *\([0-9.][0-9.]*\).*/\1:$metric \2/p"
     done
@@ -67,7 +70,8 @@ checked=0
 # nothing while still "passing".
 for required in BenchmarkTable2S27 BenchmarkFaultSimLarge/s1423 \
     BenchmarkFaultSimEvaluate/s1423 BenchmarkFaultSimSingle/s1423 \
-    BenchmarkProcedure2 BenchmarkCompactVerify BenchmarkAnnealSelect \
+    BenchmarkProcedure2 BenchmarkProcedure2:sims BenchmarkCompactVerify \
+    BenchmarkAnnealSelect BenchmarkAnnealSelect:sims BenchmarkAnnealSelect:trials \
     BenchmarkT0Compaction BenchmarkSynthesizeS27 \
     BenchmarkSynthesizeS27:t0len BenchmarkSynthesizeS27:totlen \
     BenchmarkATPGRound BenchmarkATPGRound:t0len \
